@@ -56,5 +56,10 @@ print(f"  two-stage 100 coarse + 21 refine:  "
       f"RMSE {two_stage.rmse:.4f} m in {t_two:.2f} s")
 print("the refinement stage searches +-1 coarse cell around the peak at")
 print("10x finer steps, so the two-stage search matches a 1000-per-axis")
-print("exhaustive grid while evaluating about 1% of its candidates; at")
-print("the full-scale aperture this estimator reaches millimeter error.")
+print("exhaustive grid while evaluating about 1% of its candidates.  The")
+print("coarse steering matrix is built on the first call and reused, so")
+print("each later estimate costs one matrix-vector product plus 441")
+print("refinement steering rows, and the two-stage search over 60 samples")
+print("beats the 60x60 exhaustive grid that builds its 3600 rows for every")
+print("sample.  At the full-scale aperture this estimator reaches")
+print("millimeter error.")

@@ -10,6 +10,7 @@ bound, not as a comparable architecture.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,52 +87,100 @@ def steering_rows(geometry: emfield.SimGeometry, r_values, theta_values) -> np.n
     r = np.asarray(r_values, dtype=float)
     th = np.asarray(theta_values, dtype=float)
     cells = geometry.cell_positions[0]
-    pos = np.stack([r * np.sin(th), np.zeros_like(r), -r * np.cos(th)], axis=-1)
-    dist = np.sqrt(np.sum((cells[None, :, :] - pos[:, None, :]) ** 2, axis=-1))
+    # per-axis differences; the source sits at y = 0
+    dx = cells[None, :, 0] - (r * np.sin(th))[:, None]
+    dy = cells[None, :, 1]
+    dz = cells[None, :, 2] + (r * np.cos(th))[:, None]
+    dist = np.sqrt(dx * dx + dy * dy + dz * dz)
     k = geometry.wavenumber
     return np.exp(-1j * k * (r[:, None] - dist)) / np.sqrt(geometry.num_cells)
+
+
+_BLOCK_ROWS = 1024  # steering rows built per block
+
+
+def _field_vector(input_field, geometry: emfield.SimGeometry) -> np.ndarray:
+    s = np.asarray(input_field, dtype=complex)
+    if s.shape != (geometry.num_cells,):
+        raise ValueError("input field must be a length-M vector")
+    return s
+
+
+def _steering_blocks(geometry: emfield.SimGeometry, grid: SearchGrid, block_rows: int):
+    """Yield (start, stop, steering rows) over the grid in flat order."""
+    n_r, n_th = grid.shape
+    r_flat = np.repeat(grid.r_points, n_th)
+    th_flat = np.tile(grid.theta_points, n_r)
+    for start in range(0, r_flat.size, block_rows):
+        stop = min(start + block_rows, r_flat.size)
+        yield start, stop, steering_rows(geometry, r_flat[start:stop], th_flat[start:stop])
+
+
+def _match_power(conj_steering: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Matched-filter power |a^H s|^2 for each row of conj(a)."""
+    return np.abs(conj_steering @ s) ** 2
+
+
+def _peak_point(metric: np.ndarray, grid: SearchGrid) -> tuple:
+    """Grid point of the largest metric entry.
+
+    Ties resolve to the smallest flat index (range-major,
+    azimuth-fastest).
+    """
+    flat = int(np.argmax(metric))  # first occurrence wins ties
+    i_r, i_th = divmod(flat, grid.shape[1])
+    return float(grid.r_points[i_r]), float(grid.theta_points[i_th])
 
 
 def ml_metric_map(
     input_field,
     geometry: emfield.SimGeometry,
     grid: SearchGrid,
-    block_rows: int = 1024,
+    block_rows: int = _BLOCK_ROWS,
 ) -> np.ndarray:
     """Matched-filter power |a(r, theta)^H s|^2 over the whole grid.
 
     Shape (num_r, num_theta); evaluated in row blocks to bound the
     steering-matrix working set.
     """
-    s = np.asarray(input_field, dtype=complex)
-    if s.shape != (geometry.num_cells,):
-        raise ValueError("input field must be a length-M vector")
-    n_r, n_th = grid.shape
-    r_flat = np.repeat(grid.r_points, n_th)
-    th_flat = np.tile(grid.theta_points, n_r)
-    metric = np.empty(n_r * n_th)
-    for start in range(0, metric.size, block_rows):
-        stop = min(start + block_rows, metric.size)
-        rows = steering_rows(geometry, r_flat[start:stop], th_flat[start:stop])
-        metric[start:stop] = np.abs(rows.conj() @ s) ** 2
-    return metric.reshape(n_r, n_th)
+    s = _field_vector(input_field, geometry)
+    metric = np.empty(grid.shape).reshape(-1)
+    for start, stop, rows in _steering_blocks(geometry, grid, block_rows):
+        metric[start:stop] = _match_power(rows.conj(), s)
+    return metric.reshape(grid.shape)
 
 
 def ml_estimate(
     input_field,
     geometry: emfield.SimGeometry,
     grid: SearchGrid,
-    block_rows: int = 1024,
+    block_rows: int = _BLOCK_ROWS,
 ) -> tuple:
     """Exhaustive argmax of the matched-filter power over the grid.
 
     Ties resolve to the smallest flat index (range-major,
     azimuth-fastest), so an all-zero input returns the first grid point.
+    Nothing is cached: every call rebuilds the steering rows block by
+    block, so memory stays bounded for any grid size.
     """
-    metric = ml_metric_map(input_field, geometry, grid, block_rows)
-    flat = int(np.argmax(metric))  # first occurrence wins ties
-    i_r, i_th = divmod(flat, grid.shape[1])
-    return float(grid.r_points[i_r]), float(grid.theta_points[i_th])
+    return _peak_point(ml_metric_map(input_field, geometry, grid, block_rows), grid)
+
+
+@functools.lru_cache(maxsize=1)
+def _coarse_steering(
+    geometry: emfield.SimGeometry,
+    r_bounds: tuple,
+    theta_max_rad: float,
+    coarse_size: int,
+) -> np.ndarray:
+    """Read-only conj(steering) of the two-stage coarse grid, one row
+    per grid point in flat order, built in row blocks."""
+    grid = make_search_grid(r_bounds, theta_max_rad, coarse_size, coarse_size)
+    conj = np.empty((coarse_size * coarse_size, geometry.num_cells), dtype=complex)
+    for start, stop, rows in _steering_blocks(geometry, grid, _BLOCK_ROWS):
+        np.conjugate(rows, out=conj[start:stop])
+    conj.flags.writeable = False
+    return conj
 
 
 def ml_estimate_two_stage(
@@ -147,24 +196,32 @@ def ml_estimate_two_stage(
     With the defaults this reaches the resolution of a 1000x1000
     exhaustive grid at roughly 1% of its cost; the refinement window is
     clipped at the search bounds.
+
+    The coarse stage scores the field against a conjugated steering
+    matrix that is built once per (geometry, r_bounds, theta_max_rad,
+    coarse_size) and reused by later calls.  It holds
+    M x coarse_size**2 x 16 bytes: 10 MB at 8x8 cells and 256 MB at
+    40x40 cells with the default 100x100 grid.  Only the most recent
+    matrix is kept, and it is read-only.  The refinement stage and
+    :func:`ml_estimate` build their steering rows on every call.
     """
     if coarse_size < 2 or refine_size < 2:
         raise ValueError("grid sizes must be >= 2")
-    coarse = make_search_grid(r_bounds, theta_max_rad, coarse_size, coarse_size)
-    r0, th0 = ml_estimate(input_field, geometry, coarse)
+    s = _field_vector(input_field, geometry)
+    r_lo, r_hi = float(r_bounds[0]), float(r_bounds[1])
+    th_max = float(theta_max_rad)
+    coarse = make_search_grid((r_lo, r_hi), th_max, coarse_size, coarse_size)
+    conj = _coarse_steering(geometry, (r_lo, r_hi), th_max, coarse_size)
+    r0, th0 = _peak_point(_match_power(conj, s), coarse)
     dr = float(coarse.r_points[1] - coarse.r_points[0])
     dth = float(coarse.theta_points[1] - coarse.theta_points[0])
     fine = SearchGrid(
-        r_points=np.linspace(
-            max(r0 - dr, float(r_bounds[0])), min(r0 + dr, float(r_bounds[1])), refine_size
-        ),
+        r_points=np.linspace(max(r0 - dr, r_lo), min(r0 + dr, r_hi), refine_size),
         theta_points=np.linspace(
-            max(th0 - dth, -float(theta_max_rad)),
-            min(th0 + dth, float(theta_max_rad)),
-            refine_size,
+            max(th0 - dth, -th_max), min(th0 + dth, th_max), refine_size
         ),
     )
-    return ml_estimate(input_field, geometry, fine)
+    return ml_estimate(s, geometry, fine)
 
 
 def evaluate_ml(

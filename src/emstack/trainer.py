@@ -305,9 +305,10 @@ def train(
     """Mini-batch Adam on the mean squared position error.
 
     The model is updated in place; the returned best checkpoint is an
-    independent clone taken at the lowest validation RMSE.  A NaN batch
-    loss or validation RMSE stops training immediately and the best
-    (last good) checkpoint is returned with ``diverged`` set.
+    independent clone taken at the lowest validation RMSE.  A NaN or
+    infinite batch loss or validation RMSE stops training immediately
+    and the best (last good) checkpoint is returned with ``diverged``
+    set.
     """
     if dataset.split.train.size == 0 or dataset.split.validation.size == 0:
         raise ValueError("training requires non-empty train and validation splits")
@@ -337,7 +338,7 @@ def train(
             loss, cot = position_loss_and_cotangent(
                 trace.output_field, positions, model.readout_scale, bounds
             )
-            if math.isnan(loss):
+            if not math.isfinite(loss):
                 best.diverged = True
                 return best
             grads = simnet.backward(model, trace, cot)
@@ -346,7 +347,7 @@ def train(
         train_loss = sq_error_sum / n_train
         val_rmse = evaluate(model, dataset, dataset.split.validation).rmse
         best.history.append(EpochRecord(epoch, train_loss, val_rmse))
-        if math.isnan(val_rmse):
+        if not math.isfinite(val_rmse):
             best.diverged = True
             return best
         if val_rmse < best.best_val_rmse:

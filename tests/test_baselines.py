@@ -1,9 +1,11 @@
 """Tests for the linear stack baseline and the matched-filter search."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from emstack import baselines, emfield, simnet, trainer
+from emstack import baselines, cli, emfield, simnet, trainer
 
 
 def near_field_geometry(cells_per_side=16, num_layers=1):
@@ -23,6 +25,24 @@ def near_field_geometry(cells_per_side=16, num_layers=1):
 def los_field(geometry, r, theta, amplitude=1.0 + 0.0j):
     pos = emfield.UePosition(range_m=r, azimuth_rad=theta)
     return amplitude * emfield.array_response(geometry, pos)
+
+
+def two_stage_reference(field, geometry, r_bounds, theta_max, coarse_size, refine_size):
+    """Uncached two-stage search: exhaustive coarse grid, then the
+    clipped refinement window, both through ``ml_estimate``."""
+    coarse = baselines.make_search_grid(r_bounds, theta_max, coarse_size, coarse_size)
+    r0, th0 = baselines.ml_estimate(field, geometry, coarse)
+    dr = float(coarse.r_points[1] - coarse.r_points[0])
+    dth = float(coarse.theta_points[1] - coarse.theta_points[0])
+    fine = baselines.SearchGrid(
+        r_points=np.linspace(
+            max(r0 - dr, float(r_bounds[0])), min(r0 + dr, float(r_bounds[1])), refine_size
+        ),
+        theta_points=np.linspace(
+            max(th0 - dth, -theta_max), min(th0 + dth, theta_max), refine_size
+        ),
+    )
+    return baselines.ml_estimate(field, geometry, fine)
 
 
 class TestLinearSimModel:
@@ -186,6 +206,10 @@ class TestMlEstimate:
         grid = baselines.make_search_grid((1.0, 3.0), 1.0, 5, 5)
         with pytest.raises(ValueError):
             baselines.ml_estimate(np.zeros(7, dtype=complex), geom, grid)
+        with pytest.raises(ValueError):
+            baselines.ml_estimate_two_stage(
+                np.zeros(7, dtype=complex), geom, (1.0, 3.0), 1.0, coarse_size=5
+            )
 
 
 class TestTwoStage:
@@ -233,6 +257,63 @@ class TestTwoStage:
             baselines.ml_estimate_two_stage(
                 np.zeros(16, dtype=complex), geom, (1.0, 3.0), 1.0, coarse_size=1
             )
+
+
+class TestCoarseSteeringCache:
+    def test_desk_test_split_matches_uncached_reference(self):
+        cfg = cli.load_config(cli.load_preset("desk"))
+        geom = cli.build_geometry(cfg)
+        ds = cli.build_dataset(cfg, geom)
+        sc, ex = cfg["scenario"], cfg["experiment"]
+        bounds = (sc["r_min_m"], sc["r_max_m"])
+        theta_max = np.deg2rad(sc["theta_max_deg"])
+        sizes = (ex["ml_coarse"], ex["ml_refine"])
+        # every fifth test sample keeps the exhaustive reference cheap
+        indices = ds.split.test[::5]
+        cached = baselines.evaluate_ml(
+            ds,
+            geom,
+            indices,
+            lambda f: baselines.ml_estimate_two_stage(f, geom, bounds, theta_max, *sizes),
+        )
+        reference = baselines.evaluate_ml(
+            ds,
+            geom,
+            indices,
+            lambda f: two_stage_reference(f, geom, bounds, theta_max, *sizes),
+        )
+        np.testing.assert_array_equal(cached.records, reference.records)
+
+    def test_alternating_keys_never_serve_a_stale_matrix(self):
+        geoms = (near_field_geometry(cells_per_side=4), near_field_geometry(cells_per_side=6))
+        theta_max = np.deg2rad(70.0)
+        rng = np.random.default_rng(11)
+        keys = list(itertools.product(geoms, (12, 17), ((1.0, 3.0), (1.5, 2.5))))
+        for geom, coarse_size, bounds in keys + keys[::-1] + keys:
+            field = los_field(
+                geom, rng.uniform(*bounds), rng.uniform(-1.0, 1.0), amplitude=0.5 + 2.0j
+            )
+            field = field + 0.05 * (
+                rng.standard_normal(geom.num_cells) + 1j * rng.standard_normal(geom.num_cells)
+            )
+            # bounds as a list: the cache key must not depend on its type
+            got = baselines.ml_estimate_two_stage(
+                field, geom, list(bounds), theta_max, coarse_size=coarse_size, refine_size=7
+            )
+            want = two_stage_reference(field, geom, bounds, theta_max, coarse_size, 7)
+            assert got == want, (geom.cells_per_side, coarse_size, bounds)
+
+    def test_cached_matrix_is_read_only(self):
+        geom = near_field_geometry(cells_per_side=4)
+        theta_max = np.deg2rad(70.0)
+        baselines.ml_estimate_two_stage(
+            los_field(geom, 2.0, 0.3), geom, (1.0, 3.0), theta_max, coarse_size=10
+        )
+        conj = baselines._coarse_steering(geom, (1.0, 3.0), theta_max, 10)
+        assert conj.shape == (100, geom.num_cells)
+        assert not conj.flags.writeable
+        with pytest.raises(ValueError):
+            conj[0, 0] = 0.0
 
 
 class TestEvaluateMl:

@@ -1,11 +1,12 @@
 """Config parsing, experiment runner outputs, and exit codes."""
 
 import io
+import math
 
 import numpy as np
 import pytest
 
-from emstack import cli, simnet
+from emstack import cli, simnet, trainer
 
 
 TINY = """
@@ -254,3 +255,13 @@ class TestExitCodes:
 
     def test_unknown_preset(self):
         assert cli.main(["run", "--preset", "galactic"]) == 1
+
+    def test_infinite_loss_exits_2(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(
+            trainer,
+            "position_loss_and_cotangent",
+            lambda out, positions, scale, bounds: (math.inf, np.zeros_like(out)),
+        )
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(TINY.replace("epochs = 0", "epochs = 2"))
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2

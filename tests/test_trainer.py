@@ -1,5 +1,7 @@
 """Tests for dataset handling, metrics, Adam, and the training loop."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -328,6 +330,37 @@ class TestTrainLoop:
         result = trainer.train(model, ds, cfg)
         assert len(result.history) == 2
         assert np.all(model.layers[1].biases <= 0.0)
+
+    def test_infinite_loss_counts_as_divergence(self, monkeypatch):
+        _, model, ds = self._setup(count=100)
+        monkeypatch.setattr(
+            trainer,
+            "position_loss_and_cotangent",
+            lambda out, positions, scale, bounds: (math.inf, np.zeros_like(out)),
+        )
+        result = trainer.train(model, ds, trainer.TrainConfig(epochs=3))
+        assert result.diverged
+        assert result.history == []
+        assert result.best_epoch == 0
+
+    def test_infinite_validation_rmse_counts_as_divergence(self, monkeypatch):
+        _, model, ds = self._setup(count=100)
+        real_evaluate = trainer.evaluate
+        calls = []
+
+        def evaluate(model, dataset, indices):
+            result = real_evaluate(model, dataset, indices)
+            calls.append(result.rmse)
+            # the first call scores the initial model; later ones blow up
+            if len(calls) == 1:
+                return result
+            return trainer.EvalResult(rmse=math.inf, records=result.records)
+
+        monkeypatch.setattr(trainer, "evaluate", evaluate)
+        result = trainer.train(model, ds, trainer.TrainConfig(epochs=3))
+        assert result.diverged
+        assert [rec.val_rmse for rec in result.history] == [math.inf]
+        assert result.best_epoch == 0
 
     def test_evaluate_consistency_and_determinism(self):
         _, model, ds = self._setup(count=100)
