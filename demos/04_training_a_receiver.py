@@ -24,7 +24,7 @@ seeds = 5
 cfg = cli.load_config(config_text)
 geometry = cli.build_geometry(cfg)
 dataset = cli.build_dataset(cfg, geometry)
-print(f"{len(dataset.samples)} samples: {dataset.split.train.size} train, "
+print(f"{len(dataset.fields)} samples: {dataset.split.train.size} train, "
       f"{dataset.split.validation.size} validation, {dataset.split.test.size} test")
 
 propagation = simnet.compute_propagation(geometry)

@@ -238,16 +238,9 @@ def evaluate_ml(
     records = np.empty(indices.size, dtype=trainer.RECORD_DTYPE)
     estimates = np.empty((indices.size, 2))
     for row, i in enumerate(indices):
-        sample = dataset.samples[i]
-        r_hat, th_hat = estimator(sample.input_field)
+        r_hat, th_hat = estimator(dataset.fields[i])
         estimates[row] = (r_hat * np.cos(th_hat), r_hat * np.sin(th_hat))
-        records[row] = (
-            sample.position.range_m,
-            sample.position.azimuth_rad,
-            r_hat,
-            th_hat,
-            0.0,
-        )
+        records[row] = (dataset.r[i], dataset.theta[i], r_hat, th_hat, 0.0)
     truth = dataset.position_matrix(indices)
     records["error_m"] = np.sqrt(np.sum((estimates - truth) ** 2, axis=-1))
     return trainer.EvalResult(

@@ -339,9 +339,8 @@ def _make_activation(cfg: ExperimentConfig, num_cells: int, rng: np.random.Gener
         )
         for a in alphas
     ]
-    grid = tables[0].grid
     return nonlin.TabulatedActivationSet(
-        grid, np.stack([t.values for t in tables])
+        tables[0].grid, np.concatenate([t.values for t in tables])
     )
 
 
@@ -391,7 +390,7 @@ def build_model(
         trace = simnet.forward(model, dataset.field_matrix(dataset.split.train))
         median_amp = float(np.median(np.abs(trace.pre_activation[nl_position - 1])))
         scale = mo["bias_scale_factor"] * median_amp
-        nl_layer.biases = -np.abs(rng.standard_normal(m)) * scale
+        nl_layer.biases = nonlin.sample_trainable_bias_init(m, rng, scale)
     return model
 
 
@@ -871,7 +870,12 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (NumericalFailure, nonlin.QuadratureError, FloatingPointError) as exc:
+    except (
+        NumericalFailure,
+        nonlin.QuadratureError,
+        nonlin.DiodeSolverError,
+        FloatingPointError,
+    ) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 

@@ -15,7 +15,6 @@ matched-filter baseline) consumes the objects built here.  Conventions:
 from __future__ import annotations
 
 import hashlib
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -385,33 +384,3 @@ def draw_sample(
         pilot=complex(pilot),
     )
 
-
-# ---------------------------------------------------------------------------
-# Binary matrix cache
-# ---------------------------------------------------------------------------
-
-_HEADER = struct.Struct("<QQ")
-
-
-def save_matrix(path, matrix: np.ndarray) -> None:
-    """Write a complex matrix as little-endian binary.
-
-    Layout: two uint64 dimensions, then row-major interleaved
-    real/imag float64 pairs.
-    """
-    arr = np.ascontiguousarray(matrix, dtype=np.complex128)
-    if arr.ndim != 2:
-        raise ValueError("only 2-D matrices are cached")
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(arr.shape[0], arr.shape[1]))
-        fh.write(arr.astype("<c16").tobytes())
-
-
-def load_matrix(path) -> np.ndarray:
-    """Read a matrix written by :func:`save_matrix`."""
-    with open(path, "rb") as fh:
-        rows, cols = _HEADER.unpack(fh.read(_HEADER.size))
-        data = np.frombuffer(fh.read(), dtype="<c16")
-    if data.size != rows * cols:
-        raise ValueError("matrix file truncated")
-    return data.astype(np.complex128).reshape(rows, cols)

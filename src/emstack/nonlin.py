@@ -29,9 +29,7 @@ from scipy.optimize import minimize_scalar
 
 QUADRATURE_ABS_TOL = 1e-9
 DIODE_RESIDUAL_TOL = 1e-12
-
-# exp() overflows float64 beyond ~709; saturate the diode branch there
-_EXP_CLIP = 700.0
+_DIODE_MAX_ITERATIONS = 200
 
 
 class QuadratureError(RuntimeError):
@@ -40,6 +38,10 @@ class QuadratureError(RuntimeError):
     def __init__(self, message, achieved_error):
         super().__init__(f"{message} (achieved error estimate {achieved_error:.3e})")
         self.achieved_error = achieved_error
+
+
+class DiodeSolverError(RuntimeError):
+    """Raised when the diode solver fails to converge within its cap."""
 
 
 # ---------------------------------------------------------------------------
@@ -185,60 +187,67 @@ class DiodeCircuit(BandpassNL):
 def diode_bandpass_response(params: DiodeCircuitParams, instantaneous_input):
     """Transmitted voltage u solving u = R_A I_s (exp(2 alpha (s - u)) - 1).
 
-    The bias, when nonzero, is folded into the input as s + b.  The
-    unique root lies in [-R_A I_s, max(0, 2 s)]; it is found by Newton
-    on the log form 2 alpha (s - u) + ln(R_A I_s) - ln(u + R_A I_s) = 0
-    (immune to exp overflow), safeguarded by bisection, to absolute
-    residual <= 1e-12 on the original equation (or to the nearest
-    representable root when float64 conditioning caps the residual,
-    which only happens for inputs far beyond physical volt scales).
-    Deep-cutoff inputs, where u + R_A I_s would underflow, short-circuit
-    to the saturation expansion u = R_A I_s (exp(2 alpha (s + R_A I_s)) - 1).
+    Takes a scalar (returns a float) or an array (returns an array of
+    the same shape).  The bias, when nonzero, is folded into the input
+    as s + b.  The unique root lies in [-R_A I_s, max(0, 2 s)]; it is
+    found by Newton on the log form
+    2 alpha (s - u) + ln(R_A I_s) - ln(u + R_A I_s) = 0 (immune to exp
+    overflow), safeguarded by bisection, to absolute residual <= 1e-12
+    on the original equation (or to the nearest representable root when
+    float64 conditioning caps the residual, which only happens for
+    inputs far beyond physical volt scales).  Deep-cutoff inputs, where
+    u + R_A I_s would underflow, short-circuit to the saturation
+    expansion u = R_A I_s (exp(2 alpha (s + R_A I_s)) - 1).
+
+    Raises
+    ------
+    ValueError
+        If any input is not finite.
+    DiodeSolverError
+        If some input is still unsolved after the iteration cap.
     """
-    arr = np.asarray(instantaneous_input, dtype=float)
-    if arr.ndim == 0:
-        return _diode_solve_scalar(params, float(arr))
-    flat = np.array([_diode_solve_scalar(params, s) for s in arr.ravel()])
-    return flat.reshape(arr.shape)
-
-
-def _diode_solve_scalar(params: DiodeCircuitParams, s: float) -> float:
-    if not math.isfinite(s):
+    s = np.asarray(instantaneous_input, dtype=float)
+    if not np.all(np.isfinite(s)):
         raise ValueError("diode input must be finite")
     s_eff = s + params.bias_volts
     ri = params.antenna_resistance_ohm * params.saturation_current_a
     alpha2 = 2.0 * params.alpha_per_volt
     log_ri = math.log(ri)
-    x_at_floor = alpha2 * (s_eff + ri)
-    if x_at_floor <= math.log(DIODE_RESIDUAL_TOL) + abs(log_ri):
-        return -ri + ri * math.exp(x_at_floor)
-    lo, hi = -ri, max(0.0, 2.0 * s_eff)
+    x_floor = alpha2 * (s_eff + ri)
+    cutoff = x_floor <= math.log(DIODE_RESIDUAL_TOL) + abs(log_ri)
+
+    lo = np.full(s_eff.shape, -ri)
+    hi = np.maximum(0.0, 2.0 * s_eff)
+    u = np.clip(0.0, lo, hi)
 
     def log_form(u):
-        return alpha2 * (s_eff - u) + log_ri - math.log(u + ri)
+        return alpha2 * (s_eff - u) + log_ri - np.log(u + ri)
 
-    u = min(max(0.0, lo), hi)
-    if u + ri <= 0.0:
-        u = 0.5 * (lo + hi)
-    for _ in range(200):
-        h = log_form(u)
-        # exact identity: residual of the original equation (only worth
-        # evaluating once h is small; math.expm1 overflows near 710)
-        if abs(h) < 1.0 and abs((u + ri) * math.expm1(h)) <= DIODE_RESIDUAL_TOL:
-            return u
-        if h > 0:
-            lo = u
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        eps = np.finfo(float).eps
+        for _ in range(_DIODE_MAX_ITERATIONS):
+            h = np.where(cutoff, 0.0, log_form(u))
+            # exact identity: residual of the original equation
+            resid = (u + ri) * np.expm1(h)
+            # bracket exhausted at float resolution: u is the representable root
+            exhausted = hi - lo <= 4.0 * eps * np.maximum(np.maximum(np.abs(lo), np.abs(hi)), 1.0)
+            active = ~cutoff & ~exhausted & (np.abs(resid) > DIODE_RESIDUAL_TOL)
+            if not np.any(active):
+                break
+            lo = np.where(active & (h > 0), u, lo)
+            hi = np.where(active & (h <= 0), u, hi)
+            slope = -alpha2 - 1.0 / (u + ri)
+            newton = u - h / slope
+            ok = np.isfinite(newton) & (newton > lo) & (newton <= hi) & (newton != u)
+            u = np.where(active, np.where(ok, newton, 0.5 * (lo + hi)), u)
         else:
-            hi = u
-        # bracket exhausted at float resolution: u is the representable root
-        if hi - lo <= 4.0 * np.finfo(float).eps * max(abs(lo), abs(hi), 1.0):
-            return u
-        slope = -alpha2 - 1.0 / (u + ri)
-        u_new = u - h / slope
-        if not (lo < u_new <= hi) or u_new == u:
-            u_new = 0.5 * (lo + hi)
-        u = u_new
-    raise AssertionError(f"diode solver stalled for input {s!r}")
+            stalled = s[active]
+            raise DiodeSolverError(
+                f"diode solver stalled on {stalled.size} input(s), "
+                f"first {float(stalled[0])!r}"
+            )
+    u = np.where(cutoff, -ri + ri * np.exp(np.minimum(x_floor, 0.0)), u)
+    return float(u) if u.ndim == 0 else u
 
 
 # ---------------------------------------------------------------------------
@@ -444,55 +453,17 @@ class FittedRelu(Activation):
         return self.gain * (np.where(e > 0, 1.0, 0.0) + np.where(e == 0, 0.5, 0.0))
 
 
-class TabulatedActivation(Activation):
-    """C[v] sampled on a fixed grid with piecewise-linear interpolation.
-
-    The derivative is the segment slope between knots and the average of
-    the adjacent slopes at a knot.  Beyond the last knot the value is
-    clamped and the derivative is zero.  The operating point is frozen
-    at tabulation time, so there is no bias derivative.
-    """
-
-    def __init__(self, grid: np.ndarray, values: np.ndarray):
-        grid = np.asarray(grid, dtype=float)
-        values = np.asarray(values, dtype=float)
-        if grid.ndim != 1 or grid.shape != values.shape or grid.size < 2:
-            raise ValueError("need matching 1-D grid and values with >= 2 points")
-        if np.any(np.diff(grid) <= 0):
-            raise ValueError("grid must be strictly increasing")
-        self.grid = grid
-        self.values = values
-        self._slopes = np.diff(values) / np.diff(grid)
-        knot = np.empty_like(grid)
-        knot[0] = self._slopes[0]
-        knot[-1] = 0.0  # clamped top end
-        knot[1:-1] = 0.5 * (self._slopes[:-1] + self._slopes[1:])
-        self._knot_slopes = knot
-
-    def value(self, v, bias=0.0):
-        self._require_zero_bias(bias)
-        return np.interp(np.asarray(v, dtype=float), self.grid, self.values)
-
-    def derivative(self, v, bias=0.0):
-        self._require_zero_bias(bias)
-        flat = np.atleast_1d(np.asarray(v, dtype=float))
-        idx = np.clip(np.searchsorted(self.grid, flat, side="right") - 1, 0, self._slopes.size - 1)
-        out = self._slopes[idx].astype(float)
-        out[flat >= self.grid[-1]] = 0.0
-        knot_idx = np.searchsorted(self.grid, flat)
-        on_knot = (knot_idx < self.grid.size) & (
-            self.grid[np.minimum(knot_idx, self.grid.size - 1)] == flat
-        )
-        out[on_knot] = self._knot_slopes[knot_idx[on_knot]]
-        return out.reshape(np.shape(v)) if np.ndim(v) else float(out[0])
-
-
 class TabulatedActivationSet(Activation):
-    """Per-cell tabulated curves sharing one amplitude grid.
+    """Tabulated curves C[v] sharing one amplitude grid.
 
-    ``values`` has shape (num_cells, grid size); amplitude inputs must
-    have num_cells as their trailing axis.  Interpolation, knot and
-    extrapolation semantics match :class:`TabulatedActivation` row-wise.
+    ``values`` has shape (num_cells, grid size).  A one-row table is a
+    single curve and applies to amplitudes of any shape, scalars
+    included; an n-row table applies row k to cell k, so amplitude
+    inputs must have num_cells as their trailing axis.  Interpolation is
+    piecewise linear; the derivative is the segment slope between knots
+    and the average of the adjacent slopes at a knot.  Beyond the last
+    knot the value is clamped and the derivative is zero.  The operating
+    point is frozen at tabulation time, so there is no bias derivative.
     """
 
     def __init__(self, grid: np.ndarray, values: np.ndarray):
@@ -517,10 +488,13 @@ class TabulatedActivationSet(Activation):
 
     def _locate(self, v):
         v = np.asarray(v, dtype=float)
-        if v.ndim == 0 or v.shape[-1] != self.num_cells:
+        if self.num_cells == 1:
+            cells = 0
+        elif v.ndim == 0 or v.shape[-1] != self.num_cells:
             raise ValueError("trailing axis must index the cells")
+        else:
+            cells = np.arange(self.num_cells)
         seg = np.clip(np.searchsorted(self.grid, v, side="right") - 1, 0, self._slopes.shape[1] - 1)
-        cells = np.arange(self.num_cells)
         return v, seg, cells
 
     def value(self, v, bias=0.0):
@@ -609,51 +583,14 @@ def _gauss_legendre_nodes(n: int):
     return phi, w * (np.pi / 2.0)
 
 
-def _diode_response_grid(params: DiodeCircuitParams, s: np.ndarray) -> np.ndarray:
-    """Vectorized diode solve to the same residual tolerance as the
-    scalar path (masked log-form Newton with bisection safeguard)."""
-    s_eff = s + params.bias_volts
-    ri = params.antenna_resistance_ohm * params.saturation_current_a
-    alpha2 = 2.0 * params.alpha_per_volt
-    log_ri = math.log(ri)
-    x_floor = alpha2 * (s_eff + ri)
-    cutoff = x_floor <= math.log(DIODE_RESIDUAL_TOL) + abs(log_ri)
-
-    lo = np.full(s_eff.shape, -ri)
-    hi = np.maximum(0.0, 2.0 * s_eff)
-    u = np.clip(0.0, lo, hi)
-    resid = np.zeros(s_eff.shape)
-
-    def log_form(u):
-        return alpha2 * (s_eff - u) + log_ri - np.log(u + ri)
-
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        eps = np.finfo(float).eps
-        for _ in range(200):
-            h = np.where(cutoff, 0.0, log_form(u))
-            resid = (u + ri) * np.expm1(h)
-            exhausted = hi - lo <= 4.0 * eps * np.maximum(np.maximum(np.abs(lo), np.abs(hi)), 1.0)
-            active = ~cutoff & ~exhausted & (np.abs(resid) > DIODE_RESIDUAL_TOL)
-            if not np.any(active):
-                break
-            lo = np.where(active & (h > 0), u, lo)
-            hi = np.where(active & (h <= 0), u, hi)
-            slope = -alpha2 - 1.0 / (u + ri)
-            newton = u - h / slope
-            ok = np.isfinite(newton) & (newton > lo) & (newton <= hi) & (newton != u)
-            u = np.where(active, np.where(ok, newton, 0.5 * (lo + hi)), u)
-        else:
-            raise AssertionError("vectorized diode solve stalled")
-    return np.where(cutoff, -ri + ri * np.exp(np.minimum(x_floor, 0.0)), u)
-
-
 def diode_activation(
     params: DiodeCircuitParams,
     v_max: float = 1.0,
     n_points: int = 2048,
     quadrature_nodes: int = 129,
-) -> TabulatedActivation:
-    """Tabulate the diode cell's envelope map C[v] on [0, v_max].
+) -> TabulatedActivationSet:
+    """Tabulate the diode cell's envelope map C[v] on [0, v_max] as a
+    one-row table.
 
     Each grid amplitude is pushed through the transcendental cell
     response and the envelope integral; the integral uses fixed
@@ -668,12 +605,12 @@ def diode_activation(
     phi, w = _gauss_legendre_nodes(quadrature_nodes)
     # arguments matrix: grid amplitude x quadrature node
     args = grid[:, None] * np.cos(phi)[None, :]
-    f = _diode_response_grid(params, args)
+    f = diode_bandpass_response(params, args)
     c = (2.0 / np.pi) * (f * np.cos(phi)[None, :]) @ w
     # at v = 0 the integrand is a constant times cos(phi): exactly zero,
     # not the ~1e-21 quadrature roundoff
     c[grid == 0.0] = 0.0
-    return TabulatedActivation(grid, c)
+    return TabulatedActivationSet(grid, c[None, :])
 
 
 @dataclass(frozen=True)
@@ -698,7 +635,7 @@ def fit_relu_approximation(activation: Activation, amplitude_range) -> ReluFit:
     lo, hi = float(amplitude_range[0]), float(amplitude_range[1])
     if not hi > lo:
         raise ValueError("amplitude range must have positive width")
-    if isinstance(activation, TabulatedActivation):
+    if isinstance(activation, TabulatedActivationSet):
         grid = activation.grid[(activation.grid >= lo) & (activation.grid <= hi)]
         if grid.size < 8:
             grid = np.linspace(lo, hi, 256)
@@ -732,11 +669,6 @@ def fit_relu_approximation(activation: Activation, amplitude_range) -> ReluFit:
     return ReluFit(gain=gain, knee=knee, residual_rms=err)
 
 
-def apply_activation(activation: Activation, x, bias=0.0):
-    """Phase-preserving complex application of an envelope map."""
-    return activation.apply(x, bias)
-
-
 # ---------------------------------------------------------------------------
 # Cell population sampling
 # ---------------------------------------------------------------------------
@@ -760,19 +692,8 @@ def sample_trainable_bias_init(
 
 
 # ---------------------------------------------------------------------------
-# Table export and serialization
+# Serialization
 # ---------------------------------------------------------------------------
-
-
-def export_activation_table(activation: Activation, path, amplitudes) -> None:
-    """Write (amplitude, C, dC/dv) rows as CSV for curve plotting."""
-    v = np.asarray(amplitudes, dtype=float)
-    c = np.asarray(activation.value(v), dtype=float)
-    dc = np.asarray(activation.derivative(v), dtype=float)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("amplitude,C,dC_dv\n")
-        for row in zip(v, c, dc):
-            fh.write(f"{float(row[0])!r},{float(row[1])!r},{float(row[2])!r}\n")
 
 
 def _param_to_json(p):
@@ -815,12 +736,6 @@ def activation_to_dict(activation: Activation) -> dict:
             "grid": activation.grid.tolist(),
             "values": activation.values.tolist(),
         }
-    if isinstance(activation, TabulatedActivation):
-        return {
-            "kind": "tabulated",
-            "grid": activation.grid.tolist(),
-            "values": activation.values.tolist(),
-        }
     raise TypeError(f"cannot serialize activation {type(activation).__name__}")
 
 
@@ -841,6 +756,6 @@ def activation_from_dict(desc: dict) -> Activation:
         return FittedRelu(gain=desc["gain"], knee=desc["knee"])
     if kind == "tabulated_set":
         return TabulatedActivationSet(np.array(desc["grid"]), np.array(desc["values"]))
-    if kind == "tabulated":
-        return TabulatedActivation(np.array(desc["grid"]), np.array(desc["values"]))
+    if kind == "tabulated":  # single-curve checkpoints written before tabulated_set
+        return TabulatedActivationSet(np.array(desc["grid"]), np.array([desc["values"]]))
     raise ValueError(f"unknown activation kind {kind!r}")

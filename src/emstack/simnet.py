@@ -1,7 +1,8 @@
 """Differentiable stacked-metasurface receiver network.
 
 Forward model: the input field enters layer 1, propagates between
-consecutive layers through fixed Rayleigh-Sommerfeld coupling matrices,
+consecutive layers through one fixed Rayleigh-Sommerfeld coupling
+matrix (the layers are equally spaced, so every transition shares it),
 and each layer applies either programmable unit-modulus phase shifts or
 a passive element-wise envelope nonlinearity (no phase shifter on
 nonlinear layers).  A final coupling matrix maps the last layer onto a
@@ -64,23 +65,26 @@ Layer = LinearLayer | NonlinearLayer
 
 @dataclass(frozen=True)
 class Propagation:
-    """Read-only coupling matrices shared by every model on a geometry."""
+    """Read-only coupling matrices shared by every model on a geometry.
 
-    interlayer: tuple  # W for layer transitions 1->2 .. (L-1)->L
+    Layers are equally spaced and share one cell grid, so a single
+    matrix W couples every transition l -> l+1.  It is built for 1 -> 2;
+    the per-plane matrices of :func:`emfield.rayleigh_sommerfeld_matrix`
+    equal it up to last-bit rounding of the plane coordinates.
+    """
+
+    interlayer: np.ndarray | None  # W for every transition; None when L = 1
     output: np.ndarray  # last layer -> antenna array
 
 
 def compute_propagation(geometry: emfield.SimGeometry) -> Propagation:
-    mats = []
-    for src in range(1, geometry.num_layers):
-        w = emfield.rayleigh_sommerfeld_matrix(geometry, src, src + 1).entries
-        w.setflags(write=False)
-        mats.append(w)
+    w = None
+    if geometry.num_layers > 1:
+        w = emfield.rayleigh_sommerfeld_matrix(geometry, 1, 2).entries
     g = emfield.rayleigh_sommerfeld_matrix(
         geometry, geometry.num_layers, emfield.OUTPUT_ARRAY
     ).entries
-    g.setflags(write=False)
-    return Propagation(interlayer=tuple(mats), output=g)
+    return Propagation(interlayer=w, output=g)
 
 
 @dataclass
@@ -169,7 +173,7 @@ def forward(model: SimModel, input_field) -> ForwardTrace:
     trace = ForwardTrace(input_field=x)
     for i, layer in enumerate(model.layers):
         # coupling into layer i+1; the first layer sees the input directly
-        z = x if i == 0 else x @ model.propagation.interlayer[i - 1].T
+        z = x if i == 0 else x @ model.propagation.interlayer.T
         trace.pre_activation.append(z)
         if isinstance(layer, LinearLayer):
             x = np.exp(1j * layer.phases) * z
@@ -218,12 +222,6 @@ class GradientSet:
     phase: dict = field(default_factory=dict)
     bias: dict = field(default_factory=dict)
 
-    def scaled(self, factor: float) -> "GradientSet":
-        return GradientSet(
-            phase={k: v * factor for k, v in self.phase.items()},
-            bias={k: v * factor for k, v in self.bias.items()},
-        )
-
 
 def _batch_sum(arr: np.ndarray) -> np.ndarray:
     return arr.reshape(-1, arr.shape[-1]).sum(axis=0)
@@ -268,7 +266,7 @@ def backward(model: SimModel, trace: ForwardTrace, output_cotangent) -> Gradient
                         "layer biases cannot be trainable"
                     )
                 grads.bias[i + 1] = _batch_sum(np.asarray(dc_db) * np.real(u))
-        cot_x = cot_z if i == 0 else cot_z @ np.conj(model.propagation.interlayer[i - 1])
+        cot_x = cot_z if i == 0 else cot_z @ np.conj(model.propagation.interlayer)
     return grads
 
 

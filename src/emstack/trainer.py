@@ -28,17 +28,27 @@ class SplitIndices:
     test: np.ndarray
 
 
-@dataclass
+@dataclass(frozen=True)
 class Dataset:
-    samples: list
+    """Columnar channel draws: row i of every array is sample i.
+
+    ``fields`` is (N, M) complex (the noisy layer-1 field),
+    ``positions`` is (N, 2) (the loss's plane position), ``r`` and
+    ``theta`` are (N,) polar truth.  All arrays are read-only.
+    """
+
+    fields: np.ndarray
+    positions: np.ndarray
+    r: np.ndarray
+    theta: np.ndarray
     split: SplitIndices
     scenario: emfield.Scenario
 
     def field_matrix(self, indices) -> np.ndarray:
-        return np.stack([self.samples[i].input_field for i in indices])
+        return self.fields[indices]
 
     def position_matrix(self, indices) -> np.ndarray:
-        return np.stack([self.samples[i].position.plane_xy() for i in indices])
+        return self.positions[indices]
 
 
 def split_indices(count: int, rng: np.random.Generator) -> SplitIndices:
@@ -66,33 +76,24 @@ def generate_dataset(
 
     Noise is frozen inside each sample; epochs reuse the same draw.
     """
-    samples = [emfield.draw_sample(geometry, scenario, rng) for _ in range(count)]
-    return Dataset(samples=samples, split=split_indices(count, rng), scenario=scenario)
+    fields = np.empty((count, geometry.num_cells), dtype=complex)
+    positions = np.empty((count, 2))
+    r = np.empty(count)
+    theta = np.empty(count)
+    for i in range(count):
+        sample = emfield.draw_sample(geometry, scenario, rng)
+        fields[i] = sample.input_field
+        positions[i] = sample.position.plane_xy()
+        r[i] = sample.position.range_m
+        theta[i] = sample.position.azimuth_rad
+    for column in (fields, positions, r, theta):
+        column.setflags(write=False)
+    return Dataset(fields, positions, r, theta, split_indices(count, rng), scenario)
 
 
 # ---------------------------------------------------------------------------
 # Targets and metrics
 # ---------------------------------------------------------------------------
-
-
-def normalize_targets(r, theta, r_bounds):
-    """Affine map of range to [-1, 1] and azimuth (|theta| <= pi/2) to
-    [-1, 1]; used for bounded diagnostics, not for the training loss."""
-    r_min, r_max = float(r_bounds[0]), float(r_bounds[1])
-    if not r_max > r_min:
-        raise ValueError("need r_max > r_min")
-    r_norm = (np.asarray(r, dtype=float) - r_min) / (r_max - r_min) * 2.0 - 1.0
-    theta_norm = 2.0 * np.asarray(theta, dtype=float) / np.pi
-    return r_norm, theta_norm
-
-
-def denormalize_targets(r_norm, theta_norm, r_bounds):
-    r_min, r_max = float(r_bounds[0]), float(r_bounds[1])
-    if not r_max > r_min:
-        raise ValueError("need r_max > r_min")
-    r = (np.asarray(r_norm, dtype=float) + 1.0) / 2.0 * (r_max - r_min) + r_min
-    theta = np.asarray(theta_norm, dtype=float) * np.pi / 2.0
-    return r, theta
 
 
 def position_rmse(estimates, ground_truth) -> float:
@@ -291,8 +292,8 @@ def evaluate(model: simnet.SimModel, dataset: Dataset, indices) -> EvalResult:
     truth = dataset.position_matrix(indices)
     errors = np.sqrt(np.sum((p_hat - truth) ** 2, axis=-1))
     records = np.empty(indices.size, dtype=RECORD_DTYPE)
-    records["r"] = [dataset.samples[i].position.range_m for i in indices]
-    records["theta"] = [dataset.samples[i].position.azimuth_rad for i in indices]
+    records["r"] = dataset.r[indices]
+    records["theta"] = dataset.theta[indices]
     records["r_hat"] = range_est
     records["theta_hat"] = azimuth_est
     records["error_m"] = errors

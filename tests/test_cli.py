@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from emstack import cli, simnet, trainer
+from emstack import cli, nonlin, simnet, trainer
 
 
 TINY = """
@@ -265,3 +265,10 @@ class TestExitCodes:
         cfg_path = tmp_path / "cfg.ini"
         cfg_path.write_text(TINY.replace("epochs = 0", "epochs = 2"))
         assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+
+    def test_diode_solver_stall_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(nonlin, "_DIODE_MAX_ITERATIONS", 1)
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text("[curves]\nalphas = 33\nsamples = 20\n")
+        assert cli.main(["curves", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        assert "diode solver stalled" in capsys.readouterr().err

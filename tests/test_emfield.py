@@ -123,15 +123,6 @@ class TestDiffractionKernel:
         with pytest.raises(ValueError):
             emfield.diffraction_kernel(0.0, 1.0, LAM, LAM ** 2 / 4)
 
-    def test_matrix_roundtrip_cache(self, tmp_path):
-        g = small_geometry(cells_per_side=3, num_layers=2)
-        mat = emfield.rayleigh_sommerfeld_matrix(g, 1, 2)
-        path = tmp_path / "w.bin"
-        emfield.save_matrix(path, mat.entries)
-        back = emfield.load_matrix(path)
-        assert back.dtype == np.complex128
-        np.testing.assert_array_equal(back, mat.entries)
-
 
 class TestArrayResponse:
     def test_unit_norm(self):

@@ -180,6 +180,26 @@ class TestDiodeSolver:
         u2 = nonlin.diode_bandpass_response(self.PARAMS, 0.3)
         np.testing.assert_allclose(u1, u2, atol=1e-12)
 
+    def test_scalar_in_float_out(self):
+        u = nonlin.diode_bandpass_response(self.PARAMS, 0.3)
+        assert type(u) is float
+        vec = nonlin.diode_bandpass_response(self.PARAMS, np.array([0.3]))
+        assert vec[0] == u
+
+    def test_non_finite_input_rejected(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                nonlin.diode_bandpass_response(self.PARAMS, bad)
+        with pytest.raises(ValueError, match="finite"):
+            nonlin.diode_bandpass_response(self.PARAMS, np.array([[0.1, 0.2], [np.nan, 0.3]]))
+
+    def test_stall_raises_typed_error(self, monkeypatch):
+        monkeypatch.setattr(nonlin, "_DIODE_MAX_ITERATIONS", 1)
+        with pytest.raises(nonlin.DiodeSolverError, match="stalled"):
+            nonlin.diode_bandpass_response(self.PARAMS, 0.5)
+        with pytest.raises(nonlin.DiodeSolverError, match="stalled"):
+            nonlin.diode_bandpass_response(self.PARAMS, np.array([0.0, 0.5]))
+
     def test_params_validation(self):
         with pytest.raises(ValueError):
             nonlin.DiodeCircuitParams(alpha_per_volt=-1.0)
@@ -225,10 +245,12 @@ class TestDiodeActivation:
 
 
 class TestTabulatedActivation:
+    """A one-row TabulatedActivationSet: one curve for any amplitude shape."""
+
     def make(self):
         grid = np.array([0.0, 1.0, 2.0, 4.0])
-        values = np.array([0.0, 1.0, 1.5, 1.5])
-        return nonlin.TabulatedActivation(grid, values)
+        values = np.array([[0.0, 1.0, 1.5, 1.5]])
+        return nonlin.TabulatedActivationSet(grid, values)
 
     def test_interpolation_and_clamp(self):
         act = self.make()
@@ -244,9 +266,27 @@ class TestTabulatedActivation:
         np.testing.assert_allclose(act.derivative(5.0), 0.0)  # clamped top
         np.testing.assert_allclose(act.derivative(4.0), 0.0)
 
+    def test_any_amplitude_shape(self):
+        act = self.make()
+        v = np.array([[0.5, 1.0, 1.5], [3.0, 4.0, 10.0]])
+        want_value = np.array([[0.5, 1.0, 1.25], [1.5, 1.5, 1.5]])
+        want_slope = np.array([[1.0, 0.75, 0.5], [0.0, 0.0, 0.0]])
+        assert np.ndim(act.value(0.5)) == 0 and np.ndim(act.derivative(0.5)) == 0
+        np.testing.assert_allclose(act.value(v[0]), want_value[0])
+        np.testing.assert_allclose(act.derivative(v[0]), want_slope[0])
+        np.testing.assert_allclose(act.value(v), want_value)
+        np.testing.assert_allclose(act.derivative(v), want_slope)
+
+    def test_matches_numpy_interp(self):
+        grid = np.linspace(0.0, 4.0, 16)
+        curve = grid ** 1.5
+        act = nonlin.TabulatedActivationSet(grid, curve[None, :])
+        v = np.random.default_rng(3).uniform(0.0, 5.0, (7, 9))
+        np.testing.assert_allclose(act.value(v), np.interp(v, grid, curve), rtol=1e-15)
+
     def test_rejects_bad_grid(self):
         with pytest.raises(ValueError):
-            nonlin.TabulatedActivation(np.array([0.0, 0.0, 1.0]), np.zeros(3))
+            nonlin.TabulatedActivationSet(np.array([0.0, 0.0, 1.0]), np.zeros((1, 3)))
 
     def test_no_bias_support(self):
         act = self.make()
@@ -283,12 +323,12 @@ class TestApplyActivation:
     def test_relu_derived_halving(self):
         act = nonlin.closed_form_lowpass(nonlin.Relu())
         x = 2.0 * np.exp(1j * np.pi / 3)
-        got = nonlin.apply_activation(act, x)
+        got = act.apply(x)
         np.testing.assert_allclose(got, np.exp(1j * np.pi / 3), rtol=1e-12)
 
     def test_zero_maps_to_zero(self):
         for act in (nonlin.ShiftedReluLowpass(), nonlin.ConstantAmplitude(4 / np.pi)):
-            assert nonlin.apply_activation(act, 0.0) == 0.0
+            assert act.apply(0.0) == 0.0
 
     @pytest.mark.parametrize(
         "act",
@@ -298,7 +338,9 @@ class TestApplyActivation:
             nonlin.FittedRelu(gain=0.4, knee=0.1),
             nonlin.ConstantAmplitude(1.0),
             nonlin.PowerLowpass(3, 0.75),
-            nonlin.TabulatedActivation(np.linspace(0, 4, 16), np.linspace(0, 2, 16) ** 1.5),
+            nonlin.TabulatedActivationSet(
+                np.linspace(0, 4, 16), np.linspace(0, 2, 16)[None, :] ** 1.5
+            ),
             nonlin.ZeroActivation(),
         ],
         ids=["linear", "shifted", "fitted", "const", "power", "table", "zero"],
@@ -308,14 +350,14 @@ class TestApplyActivation:
         for _ in range(100):
             x = rng.uniform(0.05, 2.0) * np.exp(1j * rng.uniform(0, 2 * np.pi))
             psi = rng.uniform(0, 2 * np.pi)
-            lhs = nonlin.apply_activation(act, np.exp(1j * psi) * x)
-            rhs = np.exp(1j * psi) * nonlin.apply_activation(act, x)
+            lhs = act.apply(np.exp(1j * psi) * x)
+            rhs = np.exp(1j * psi) * act.apply(x)
             np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_batched_application(self):
         act = nonlin.ScaledLinear(0.5)
         x = np.array([2.0, 2j, 0.0, -4.0])
-        got = nonlin.apply_activation(act, x)
+        got = act.apply(x)
         np.testing.assert_allclose(got, [1.0, 1j, 0.0, -2.0])
 
 
@@ -358,7 +400,7 @@ class TestSerialization:
             nonlin.PowerLowpass(3, 0.75),
             nonlin.ShiftedReluLowpass(shift=-0.3, gain=1.1),
             nonlin.FittedRelu(gain=0.38, knee=0.54),
-            nonlin.TabulatedActivation(np.linspace(0, 1, 8), np.linspace(0, 0.5, 8)),
+            nonlin.TabulatedActivationSet(np.linspace(0, 1, 8), np.linspace(0, 0.5, 8)[None, :]),
         ],
         ids=["linear", "zero", "const", "power", "shifted", "fitted", "table"],
     )
@@ -367,12 +409,13 @@ class TestSerialization:
         v = np.linspace(0, 0.9, 7)
         np.testing.assert_array_equal(back.value(v), act.value(v))
 
-    def test_table_export(self, tmp_path):
-        act = nonlin.FittedRelu(gain=0.5, knee=0.2)
-        path = tmp_path / "curve.csv"
-        nonlin.export_activation_table(act, path, np.linspace(0, 1, 11))
-        rows = np.loadtxt(path, delimiter=",", skiprows=1)
-        assert rows.shape == (11, 3)
-        np.testing.assert_allclose(rows[-1, 1], 0.4)  # C[1.0]
-        header = path.read_text().splitlines()[0]
-        assert header == "amplitude,C,dC_dv"
+    def test_legacy_single_curve_loads_as_one_row_table(self):
+        grid = np.linspace(0, 1, 8)
+        values = np.linspace(0, 0.5, 8)
+        act = nonlin.activation_from_dict(
+            {"kind": "tabulated", "grid": grid.tolist(), "values": values.tolist()}
+        )
+        assert isinstance(act, nonlin.TabulatedActivationSet)
+        assert act.values.shape == (1, 8)
+        np.testing.assert_array_equal(act.value(grid), values)
+        assert nonlin.activation_to_dict(act)["kind"] == "tabulated_set"

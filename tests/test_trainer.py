@@ -1,5 +1,6 @@
 """Tests for dataset handling, metrics, Adam, and the training loop."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -58,34 +59,40 @@ class TestSplits:
         ds = trainer.generate_dataset(
             geom, noiseless_scenario(), 20, np.random.default_rng(3)
         )
-        assert len(ds.samples) == 20
+        assert ds.fields.shape == (20, geom.num_cells)
+        assert ds.r.shape == ds.theta.shape == (20,)
         fields = ds.field_matrix(ds.split.train)
         assert fields.shape == (16, geom.num_cells)
         positions = ds.position_matrix(ds.split.test)
         assert positions.shape == (2, 2)
 
+    def test_dataset_columns_are_read_only(self):
+        geom = make_geometry(num_layers=1)
+        ds = trainer.generate_dataset(geom, emfield.Scenario(), 10, np.random.default_rng(4))
+        for column in (ds.fields, ds.positions, ds.r, ds.theta):
+            with pytest.raises(ValueError):
+                column[0] = 0.0
 
-class TestTargets:
-    def test_normalize_endpoints(self):
-        r_norm, theta_norm = trainer.normalize_targets(
-            np.array([1.0, 3.0]), np.array([0.0]), (1.0, 3.0)
+    def test_columns_match_a_fresh_draw_loop(self):
+        geom = make_geometry(num_layers=1)
+        scenario = emfield.Scenario()
+        ds = trainer.generate_dataset(geom, scenario, 30, np.random.default_rng(8))
+        rng = np.random.default_rng(8)
+        samples = [emfield.draw_sample(geom, scenario, rng) for _ in range(30)]
+        idx = np.array([7, 0, 29, 7, 13])
+        np.testing.assert_array_equal(
+            ds.field_matrix(idx), np.stack([samples[i].input_field for i in idx])
         )
-        np.testing.assert_allclose(r_norm, [-1.0, 1.0])
-        assert theta_norm[0] == 0.0
-
-    def test_round_trip(self):
-        rng = np.random.default_rng(4)
-        r = rng.uniform(1.0, 3.0, 1000)
-        theta = rng.uniform(-np.pi / 2, np.pi / 2, 1000)
-        back = trainer.denormalize_targets(
-            *trainer.normalize_targets(r, theta, (1.0, 3.0)), (1.0, 3.0)
+        np.testing.assert_array_equal(
+            ds.position_matrix(idx), np.stack([samples[i].position.plane_xy() for i in idx])
         )
-        np.testing.assert_allclose(back[0], r, rtol=1e-12)
-        np.testing.assert_allclose(back[1], theta, rtol=1e-12)
-
-    def test_bad_bounds(self):
-        with pytest.raises(ValueError):
-            trainer.normalize_targets(1.0, 0.0, (3.0, 3.0))
+        np.testing.assert_array_equal(ds.r, [s.position.range_m for s in samples])
+        np.testing.assert_array_equal(ds.theta, [s.position.azimuth_rad for s in samples])
+        # the split is drawn after the samples, from the same stream
+        np.testing.assert_array_equal(
+            np.concatenate([ds.split.train, ds.split.validation, ds.split.test]),
+            rng.permutation(30),
+        )
 
 
 class TestPositionRmse:
@@ -212,17 +219,7 @@ class TestLossPlumbing:
         rng = np.random.default_rng(10)
         model = linear_model(geom, rng)
         ds = trainer.generate_dataset(geom, noiseless_scenario(), 50, rng)
-        zeroed = [
-            emfield.ChannelSample(
-                position=s.position,
-                channel=s.channel,
-                input_field=np.zeros_like(s.input_field),
-                noise_power=s.noise_power,
-                pilot=s.pilot,
-            )
-            for s in ds.samples
-        ]
-        dead = trainer.Dataset(zeroed, ds.split, ds.scenario)
+        dead = dataclasses.replace(ds, fields=np.zeros_like(ds.fields))
         with pytest.raises(ValueError):
             trainer.calibrate_readout_scale(model, dead)
 
@@ -296,12 +293,12 @@ class TestTrainLoop:
 
     def test_training_does_not_touch_dataset(self):
         _, model, ds = self._setup(count=100)
-        field_before = ds.samples[0].input_field.copy()
-        pos_before = ds.samples[0].position.plane_xy()
+        columns = ("fields", "positions", "r", "theta")
+        before = {name: getattr(ds, name).copy() for name in columns}
         cfg = trainer.TrainConfig(learning_rate=1e-2, epochs=2, batch_size=32)
         trainer.train(model, ds, cfg)
-        np.testing.assert_array_equal(ds.samples[0].input_field, field_before)
-        np.testing.assert_array_equal(ds.samples[0].position.plane_xy(), pos_before)
+        for name in columns:
+            np.testing.assert_array_equal(getattr(ds, name), before[name])
 
     def test_best_checkpoint_tracks_validation(self):
         _, model, ds = self._setup()
