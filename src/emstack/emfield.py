@@ -252,6 +252,27 @@ def rayleigh_sommerfeld_matrix(
     return PropagationMatrix(entries=entries, source_layer=source_layer, dest_layer=dest_layer)
 
 
+def interlayer_offset_kernel(geometry: SimGeometry) -> np.ndarray:
+    """Coupling between consecutive layers as a function of cell offset.
+
+    Returns the (2n-1, 2n-1) array, n = cells_per_side, whose entry
+    (dy + n - 1, dx + n - 1) couples a source cell to the destination
+    cell dx columns and dy rows away, at the layer spacing.  Entry
+    (m, i) of ``rayleigh_sommerfeld_matrix(geometry, 1, 2)`` equals the
+    kernel at the offset of cell m from cell i, up to last-bit rounding
+    of the cell coordinates.
+    """
+    n = geometry.cells_per_side
+    offsets = np.arange(1 - n, n) * geometry.cell_pitch_m
+    dx, dy = np.meshgrid(offsets, offsets, indexing="xy")
+    dz = geometry.layer_spacing_m
+    dist = np.sqrt(dx ** 2 + dy ** 2 + dz ** 2)
+    kernel = diffraction_kernel(dist, dz / dist, geometry.wavelength_m, geometry.cell_area_m2)
+    if not np.all(np.isfinite(kernel)):
+        raise FloatingPointError("non-finite propagation entry (degenerate geometry)")
+    return kernel
+
+
 # ---------------------------------------------------------------------------
 # Source positions and channels
 # ---------------------------------------------------------------------------

@@ -30,6 +30,9 @@ from scipy.optimize import minimize_scalar
 QUADRATURE_ABS_TOL = 1e-9
 DIODE_RESIDUAL_TOL = 1e-12
 _DIODE_MAX_ITERATIONS = 200
+# Inputs per solver block: each block iterates only until its own
+# slowest point converges.  A 2048 x 129 table took 0.40 s unblocked.
+_DIODE_BLOCK = 16384
 
 
 class QuadratureError(RuntimeError):
@@ -197,7 +200,9 @@ def diode_bandpass_response(params: DiodeCircuitParams, instantaneous_input):
     float64 conditioning caps the residual, which only happens for
     inputs far beyond physical volt scales).  Deep-cutoff inputs, where
     u + R_A I_s would underflow, short-circuit to the saturation
-    expansion u = R_A I_s (exp(2 alpha (s + R_A I_s)) - 1).
+    expansion u = R_A I_s (exp(2 alpha (s + R_A I_s)) - 1).  Inputs are
+    solved in fixed-size blocks; the solver is elementwise, so the
+    blocking changes no result.
 
     Raises
     ------
@@ -209,6 +214,18 @@ def diode_bandpass_response(params: DiodeCircuitParams, instantaneous_input):
     s = np.asarray(instantaneous_input, dtype=float)
     if not np.all(np.isfinite(s)):
         raise ValueError("diode input must be finite")
+    flat = s.ravel()
+    u = np.empty_like(flat)
+    for start in range(0, flat.size, _DIODE_BLOCK):
+        stop = start + _DIODE_BLOCK
+        u[start:stop] = _diode_solve_block(params, flat[start:stop])
+    u = u.reshape(s.shape)
+    return float(u) if u.ndim == 0 else u
+
+
+def _diode_solve_block(params: DiodeCircuitParams, s: np.ndarray) -> np.ndarray:
+    """Newton/bisection body of :func:`diode_bandpass_response` on a 1-D
+    block of finite inputs."""
     s_eff = s + params.bias_volts
     ri = params.antenna_resistance_ohm * params.saturation_current_a
     alpha2 = 2.0 * params.alpha_per_volt
@@ -246,8 +263,7 @@ def diode_bandpass_response(params: DiodeCircuitParams, instantaneous_input):
                 f"diode solver stalled on {stalled.size} input(s), "
                 f"first {float(stalled[0])!r}"
             )
-    u = np.where(cutoff, -ri + ri * np.exp(np.minimum(x_floor, 0.0)), u)
-    return float(u) if u.ndim == 0 else u
+    return np.where(cutoff, -ri + ri * np.exp(np.minimum(x_floor, 0.0)), u)
 
 
 # ---------------------------------------------------------------------------

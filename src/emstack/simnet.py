@@ -2,7 +2,7 @@
 
 Forward model: the input field enters layer 1, propagates between
 consecutive layers through one fixed Rayleigh-Sommerfeld coupling
-matrix (the layers are equally spaced, so every transition shares it),
+operator (the layers are equally spaced, so every transition shares it),
 and each layer applies either programmable unit-modulus phase shifts or
 a passive element-wise envelope nonlinearity (no phase shifter on
 nonlinear layers).  A final coupling matrix maps the last layer onto a
@@ -17,9 +17,11 @@ real gradients via Re[conj(c) dz/dparam].
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.fft
 
 from . import emfield, nonlin
 
@@ -63,28 +65,98 @@ class NonlinearLayer:
 Layer = LinearLayer | NonlinearLayer
 
 
-@dataclass(frozen=True)
-class Propagation:
-    """Read-only coupling matrices shared by every model on a geometry.
+# Grids with at least this many cells per side couple by FFT.  One apply
+# to a 64-row batch, one BLAS thread, 2-core x86 host, dense vs FFT:
+# 3.5 vs 5.0 ms at 24 cells per side, 6.2 vs 6.1 ms at 28, 12 vs 9.2 ms
+# at 32 and 30 vs 13 ms at 40.
+_FFT_MIN_CELLS_PER_SIDE = 28
 
-    Layers are equally spaced and share one cell grid, so a single
-    matrix W couples every transition l -> l+1.  It is built for 1 -> 2;
-    the per-plane matrices of :func:`emfield.rayleigh_sommerfeld_matrix`
-    equal it up to last-bit rounding of the plane coordinates.
+
+@dataclass(frozen=True, eq=False)
+class DenseCoupling:
+    """Interlayer coupling held as the dense matrix W (small grids)."""
+
+    matrix: np.ndarray
+
+    @classmethod
+    def build(cls, geometry: emfield.SimGeometry) -> "DenseCoupling":
+        return cls(emfield.rayleigh_sommerfeld_matrix(geometry, 1, 2).entries)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """x @ W.T over the trailing cell axis."""
+        return x @ self.matrix.T
+
+    def adjoint(self, c: np.ndarray) -> np.ndarray:
+        """c @ conj(W), without a conjugated copy of W."""
+        return np.conj(np.conj(c) @ self.matrix)
+
+
+@dataclass(frozen=True, eq=False)
+class FftCoupling:
+    """Interlayer coupling as a 2-D linear convolution (large grids).
+
+    W depends only on the in-plane offset between cells, so x @ W.T
+    convolves the (n, n) cell grid (x fastest) with the (2n-1, 2n-1)
+    offset kernel.  Only the kernel's spectrum is stored, zero-padded
+    to a fast FFT side P >= 2n-1 with offset d at index d mod P, so the
+    circular convolution of side P does not wrap onto the kept corner.
     """
 
-    interlayer: np.ndarray | None  # W for every transition; None when L = 1
+    spectrum: np.ndarray  # (P, P)
+    cells_per_side: int
+
+    @classmethod
+    def build(cls, geometry: emfield.SimGeometry) -> "FftCoupling":
+        n = geometry.cells_per_side
+        p = scipy.fft.next_fast_len(2 * n - 1)
+        padded = np.zeros((p, p), dtype=complex)
+        wrap = np.arange(1 - n, n) % p
+        padded[np.ix_(wrap, wrap)] = emfield.interlayer_offset_kernel(geometry)
+        spectrum = scipy.fft.fft2(padded)
+        spectrum.setflags(write=False)
+        return cls(spectrum, n)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """x @ W.T over the trailing cell axis."""
+        n, p = self.cells_per_side, self.spectrum.shape[0]
+        grid = scipy.fft.fft2(x.reshape(-1, n, n), s=(p, p))
+        grid *= self.spectrum
+        return scipy.fft.ifft2(grid, overwrite_x=True)[:, :n, :n].reshape(x.shape)
+
+    def adjoint(self, c: np.ndarray) -> np.ndarray:
+        """c @ conj(W); W is symmetric, so this is conj(conj(c) @ W.T)."""
+        return np.conj(self.apply(np.conj(c)))
+
+
+@dataclass(frozen=True)
+class Propagation:
+    """Read-only coupling operators shared by every model on a geometry.
+
+    Layers are equally spaced and share one cell grid, so one operator
+    couples every transition l -> l+1; it is built for 1 -> 2, and the
+    per-plane matrices of :func:`emfield.rayleigh_sommerfeld_matrix`
+    equal it up to last-bit rounding of the plane coordinates.
+    :func:`compute_propagation` holds it as the dense matrix below
+    ``_FFT_MIN_CELLS_PER_SIDE`` cells per side and as an FFT
+    convolution from there on; both backends offer ``apply(x)``
+    (= x @ W.T) and ``adjoint(c)`` (= c @ conj(W)).
+    """
+
+    interlayer: DenseCoupling | FftCoupling | None  # None when L = 1
     output: np.ndarray  # last layer -> antenna array
 
 
 def compute_propagation(geometry: emfield.SimGeometry) -> Propagation:
-    w = None
+    coupling = None
     if geometry.num_layers > 1:
-        w = emfield.rayleigh_sommerfeld_matrix(geometry, 1, 2).entries
+        if geometry.cells_per_side >= _FFT_MIN_CELLS_PER_SIDE:
+            coupling = FftCoupling.build(geometry)
+        else:
+            coupling = DenseCoupling.build(geometry)
     g = emfield.rayleigh_sommerfeld_matrix(
         geometry, geometry.num_layers, emfield.OUTPUT_ARRAY
     ).entries
-    return Propagation(interlayer=w, output=g)
+    return Propagation(interlayer=coupling, output=g)
 
 
 @dataclass
@@ -123,7 +195,7 @@ def assemble_model(
     readout_scale: float | None = None,
 ) -> SimModel:
     """Bind a layer schedule to a geometry, computing (or reusing) the
-    coupling matrices."""
+    coupling operators."""
     layers = list(layers)
     if len(layers) != geometry.num_layers:
         raise ValueError(
@@ -153,7 +225,7 @@ def uniform_phase_layer(num_cells: int, rng: np.random.Generator) -> LinearLayer
 class ForwardTrace:
     """Intermediate fields retained for the backward pass.
 
-    ``pre_activation[i]`` is the field after the coupling matrix into
+    ``pre_activation[i]`` is the field after the coupling into
     layer i+1 and before its phase shift or nonlinearity;
     ``post_activation[i]`` is the field leaving that layer.
     """
@@ -173,7 +245,7 @@ def forward(model: SimModel, input_field) -> ForwardTrace:
     trace = ForwardTrace(input_field=x)
     for i, layer in enumerate(model.layers):
         # coupling into layer i+1; the first layer sees the input directly
-        z = x if i == 0 else x @ model.propagation.interlayer.T
+        z = x if i == 0 else model.propagation.interlayer.apply(x)
         trace.pre_activation.append(z)
         if isinstance(layer, LinearLayer):
             x = np.exp(1j * layer.phases) * z
@@ -266,7 +338,7 @@ def backward(model: SimModel, trace: ForwardTrace, output_cotangent) -> Gradient
                         "layer biases cannot be trainable"
                     )
                 grads.bias[i + 1] = _batch_sum(np.asarray(dc_db) * np.real(u))
-        cot_x = cot_z if i == 0 else cot_z @ np.conj(model.propagation.interlayer)
+        cot_x = cot_z if i == 0 else model.propagation.interlayer.adjoint(cot_z)
     return grads
 
 
@@ -396,13 +468,26 @@ def model_from_dict(data: dict, propagation: Propagation | None = None) -> SimMo
 
 
 def save_checkpoint(path, model: SimModel, extra: dict | None = None) -> None:
-    """Single JSON file; float repr round-trips bit-exactly."""
+    """Single JSON file; float repr round-trips bit-exactly.
+
+    The file is written in full next to ``path`` and then renamed over
+    it, so a failed save leaves an existing checkpoint intact.
+    """
     payload = model_to_dict(model)
     if extra:
         payload["extra"] = extra
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=1)
+            fh.write("\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def load_checkpoint(path, propagation: Propagation | None = None):

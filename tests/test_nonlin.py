@@ -200,6 +200,28 @@ class TestDiodeSolver:
         with pytest.raises(nonlin.DiodeSolverError, match="stalled"):
             nonlin.diode_bandpass_response(self.PARAMS, np.array([0.0, 0.5]))
 
+    def test_stall_in_later_block_raises(self, monkeypatch):
+        # deep-cutoff inputs need no iteration, so only the last block stalls
+        monkeypatch.setattr(nonlin, "_DIODE_MAX_ITERATIONS", 1)
+        s = np.full(2 * nonlin._DIODE_BLOCK + 1, -10.0)
+        assert np.all(np.isfinite(nonlin.diode_bandpass_response(self.PARAMS, s)))
+        s[-1] = 0.5
+        with pytest.raises(nonlin.DiodeSolverError, match="1 input.*first 0.5"):
+            nonlin.diode_bandpass_response(self.PARAMS, s)
+
+    def test_blocks_match_odd_slices(self):
+        rng = np.random.default_rng(17)
+        s = rng.uniform(-3.0, 3.0, (3, 2 * nonlin._DIODE_BLOCK + 1001))
+        whole = nonlin.diode_bandpass_response(self.PARAMS, s)
+        assert whole.shape == s.shape
+        flat = s.ravel()
+        cuts = [0, 1, 8, 1009, nonlin._DIODE_BLOCK + 3, flat.size]
+        pieces = [
+            nonlin.diode_bandpass_response(self.PARAMS, flat[a:b])
+            for a, b in zip(cuts, cuts[1:])
+        ]
+        np.testing.assert_array_equal(whole.ravel(), np.concatenate(pieces))
+
     def test_params_validation(self):
         with pytest.raises(ValueError):
             nonlin.DiodeCircuitParams(alpha_per_volt=-1.0)

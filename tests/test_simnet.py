@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emstack import emfield, nonlin, simnet
 
@@ -57,7 +59,7 @@ class TestForward:
         model = simnet.assemble_model(geom, [l1, l2])
         x = random_field(rng, geom.num_cells)
 
-        w2 = model.propagation.interlayer
+        w2 = model.propagation.interlayer.matrix
         g = model.propagation.output
         dense = g @ np.diag(np.exp(1j * l2.phases)) @ w2 @ np.diag(np.exp(1j * l1.phases))
         trace = simnet.forward(model, x)
@@ -74,7 +76,7 @@ class TestForward:
         model = simnet.assemble_model(geom, layers)
         x = random_field(rng, geom.num_cells)
         trace = simnet.forward(model, x)
-        z = model.propagation.interlayer @ x
+        z = model.propagation.interlayer.matrix @ x
         np.testing.assert_allclose(trace.post_activation[1], z / 2.0, rtol=1e-12)
         np.testing.assert_allclose(
             trace.output_field, model.propagation.output @ (z / 2.0), rtol=1e-12
@@ -128,7 +130,7 @@ class TestForward:
     def test_preset_spacing_planes_are_bit_identical(self):
         # three-wavelength spacing, as in the shipped presets
         geom = emfield.build_geometry(28e9, 8, 4, 3 * emfield.SPEED_OF_LIGHT / 28e9, 0.05, 2)
-        shared = simnet.compute_propagation(geom).interlayer
+        shared = simnet.compute_propagation(geom).interlayer.matrix
         assert not shared.flags.writeable
         for l in range(1, 4):
             np.testing.assert_array_equal(
@@ -235,6 +237,96 @@ class TestForward:
         model = simnet.assemble_model(geom, [simnet.LinearLayer(np.zeros(geom.num_cells))])
         with pytest.raises(ValueError):
             simnet.forward(model, np.zeros(geom.num_cells + 1, dtype=complex))
+
+
+BACKENDS = (simnet.DenseCoupling, simnet.FftCoupling)
+
+
+def spaced_geometry(cells_per_side, num_layers=2, spacing_m=0.0123456789):
+    return emfield.build_geometry(28e9, cells_per_side, num_layers, spacing_m, 0.05, 2)
+
+
+class TestCouplingOperator:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(1, 7),
+        spacing_m=st.floats(0.005, 0.1),
+        batch=st.integers(1, 4),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    def test_adjoint_identity(self, backend, n, spacing_m, batch, seed):
+        # <W x, c> = <x, W^H c>, with W^H c in row form c @ conj(W)
+        op = backend.build(spaced_geometry(n, spacing_m=spacing_m))
+        rng = np.random.default_rng(seed)
+        x = random_field(rng, (batch, n * n))
+        c = random_field(rng, (batch, n * n))
+        wx, whc = op.apply(x), op.adjoint(c)
+        scale = max(
+            np.linalg.norm(wx) * np.linalg.norm(c), np.linalg.norm(x) * np.linalg.norm(whc)
+        )
+        assert abs(np.vdot(wx, c) - np.vdot(x, whc)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 28])
+    def test_fft_matches_dense_reference(self, n):
+        geom = spaced_geometry(n)
+        ref = emfield.rayleigh_sommerfeld_matrix(geom, 1, 2).entries
+        op = simnet.FftCoupling.build(geom)
+        rng = np.random.default_rng(n)
+        m = geom.num_cells
+        for shape in [(m,), (3, m), (2, 3, m)]:
+            x = random_field(rng, shape)
+            for got, want in ((op.apply(x), x @ ref.T), (op.adjoint(x), x @ np.conj(ref))):
+                assert got.shape == shape
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_backends_agree_through_forward_and_backward(self):
+        geom = spaced_geometry(4, num_layers=4)
+        m = geom.num_cells
+        rng = np.random.default_rng(43)
+        layers = [simnet.uniform_phase_layer(m, rng) for _ in range(4)]
+        layers[2] = simnet.NonlinearLayer(
+            nonlin.ShiftedReluLowpass(), -np.abs(rng.normal(0.0, 0.3, m)) - 0.05,
+            trainable=True,
+        )
+        output = emfield.rayleigh_sommerfeld_matrix(geom, 4, emfield.OUTPUT_ARRAY).entries
+        batch = random_field(rng, (5, m))
+        loss = quadratic_loss(random_field(rng, (5, 2)))
+        runs = []
+        for backend in BACKENDS:
+            prop = simnet.Propagation(backend.build(geom), output)
+            model = simnet.assemble_model(geom, layers, prop)
+            trace = simnet.forward(model, batch)
+            _, cot = loss(trace.output_field)
+            runs.append((trace.output_field, simnet.backward(model, trace, cot)))
+        (out_d, grads_d), (out_f, grads_f) = runs
+        assert np.max(np.abs(out_f - out_d)) <= 1e-12 * np.max(np.abs(out_d))
+        assert set(grads_f.phase) == set(grads_d.phase) == {1, 2, 4}
+        assert set(grads_f.bias) == set(grads_d.bias) == {3}
+        for table_f, table_d in ((grads_f.phase, grads_d.phase), (grads_f.bias, grads_d.bias)):
+            for k, g in table_d.items():
+                assert np.max(np.abs(table_f[k] - g)) <= 1e-12 * np.max(np.abs(g))
+
+    @pytest.mark.parametrize(
+        "n, backend",
+        [
+            (simnet._FFT_MIN_CELLS_PER_SIDE - 1, simnet.DenseCoupling),
+            (simnet._FFT_MIN_CELLS_PER_SIDE, simnet.FftCoupling),
+        ],
+    )
+    def test_backend_chosen_by_grid_size(self, n, backend):
+        assert type(simnet.compute_propagation(spaced_geometry(n)).interlayer) is backend
+
+    def test_single_layer_at_fft_size_has_no_coupling(self):
+        geom = spaced_geometry(simnet._FFT_MIN_CELLS_PER_SIDE, num_layers=1)
+        assert simnet.compute_propagation(geom).interlayer is None
+
+    def test_fft_backend_holds_only_the_padded_spectrum(self):
+        op = simnet.compute_propagation(spaced_geometry(40)).interlayer
+        # next_fast_len(2 * 40 - 1) = 80: 80 * 80 * 16 B, about 0.1 MB
+        assert set(vars(op)) == {"spectrum", "cells_per_side"}
+        assert op.spectrum.shape == (80, 80)
+        assert not op.spectrum.flags.writeable
 
 
 class TestAssembly:
@@ -478,6 +570,17 @@ class TestFiniteDifference:
             )
             assert err < 1e-4, f"nl at {nl_positions}: {err}"
 
+    def test_fft_coupling_matches_finite_differences(self):
+        rng = np.random.default_rng(25)
+        dense, m = self._random_model(rng, 3, (2,))
+        geom = dense.geometry
+        prop = simnet.Propagation(simnet.FftCoupling.build(geom), dense.propagation.output)
+        model = simnet.assemble_model(geom, dense.layers, prop)
+        x = random_field(rng, (2, m))
+        loss = quadratic_loss(random_field(rng, (2, 2)))
+        err = simnet.finite_difference_check(model, x, loss, step=1e-6, rng=rng, num_params=24)
+        assert err < 1e-4
+
     def test_smooth_kink_free_surrogate_gradients(self):
         rng = np.random.default_rng(18)
         geom = make_geometry(cells_per_side=2, num_layers=2)
@@ -605,6 +708,23 @@ class TestCheckpoint:
         assert isinstance(act2, nonlin.TabulatedActivationSet)
         np.testing.assert_array_equal(act.grid, act2.grid)
         np.testing.assert_array_equal(act.values, act2.values)
+
+    def test_failed_save_keeps_existing_checkpoint(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(26)
+        model = self._model(rng)
+        path = tmp_path / "model.json"
+        simnet.save_checkpoint(path, model, extra={"epoch": 1})
+        before = path.read_bytes()
+
+        def partial_dump(obj, fh, **kwargs):
+            fh.write('{"format": ')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(simnet.json, "dump", partial_dump)
+        with pytest.raises(OSError, match="disk full"):
+            simnet.save_checkpoint(path, model, extra={"epoch": 2})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
