@@ -31,8 +31,11 @@ print(f"{model.num_layers}-layer stack, {m} cells per layer, "
 x = rng.standard_normal(m) + 1j * rng.standard_normal(m)
 trace = simnet.forward(model, x)
 print(f"\ninput field mean |x| = {np.mean(np.abs(x)):.3f}")
-for i, (pre, post) in enumerate(zip(trace.pre_activation, trace.post_activation), 1):
-    kind = "nonlinear" if i in model.nl_layer_set else "phase"
+for i, (layer, pre) in enumerate(zip(model.layers, trace.pre_activation), 1):
+    if isinstance(layer, simnet.NonlinearLayer):
+        kind, post = "nonlinear", layer.activation.apply(pre, layer.biases)
+    else:
+        kind, post = "phase", np.exp(1j * layer.phases) * pre
     print(f"  layer {i} ({kind:9s}): mean |in| {np.mean(np.abs(pre)):.3f} "
           f"-> mean |out| {np.mean(np.abs(post)):.3f}")
 print(f"  output antennas: |y| = {np.abs(trace.output_field)}")

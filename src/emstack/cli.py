@@ -5,7 +5,8 @@ Verbs:
 ``run``
     Train and evaluate per a plain-text config: a single model, a sweep
     over the nonlinear layer position, or a sweep over stack depth with
-    trainable / static-random / all-linear variants.
+    trainable / static-random / all-linear variants.  Each sweep kind is
+    one ordered list of points (:func:`sweep_points`) run by one loop.
 ``curves``
     Export envelope nonlinearity curves for a list of diode
     coefficients plus their fitted piecewise-linear surrogates.
@@ -16,15 +17,18 @@ Verbs:
 
 Outputs are CSV (authoritative) plus small SVG plots, written under a
 directory named by a hash of the effective config so distinct
-configurations never collide.  Exit codes: 0 success, 1 config error,
-2 numerical failure.
+configurations never collide.  ``results.csv`` streams row by row;
+every other CSV is written whole by :func:`simnet.atomic_write`.  Exit
+codes: 0 success, 1 config error, 2 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import configparser
 import hashlib
+import itertools
 import sys
 from dataclasses import dataclass
 from importlib import resources
@@ -121,7 +125,6 @@ _SCHEMA = {
 
 _NL_MODES = ("trainable", "static-random", "linear")
 _ACTIVATIONS = ("relu-fit", "smooth", "diode-table")
-_SWEEPS = ("none", "nl-layer-index", "depth-L")
 _ML_MODES = ("two-stage", "exhaustive")
 
 
@@ -174,8 +177,6 @@ def load_config(text: str = "", overrides: dict | None = None) -> ExperimentConf
         for key, (cast, _) in keys.items():
             try:
                 typed[section][key] = cast(raw[section][key])
-            except ConfigError:
-                raise
             except (TypeError, ValueError) as exc:
                 raise ConfigError(
                     f"bad value for {section}.{key}: {raw[section][key]!r}"
@@ -206,8 +207,8 @@ def _validate(cfg: dict) -> None:
         raise ConfigError(f"nl_mode must be one of {_NL_MODES}")
     if mo["activation"] not in _ACTIVATIONS:
         raise ConfigError(f"activation must be one of {_ACTIVATIONS}")
-    if ex["sweep"] not in _SWEEPS:
-        raise ConfigError(f"sweep must be one of {_SWEEPS}")
+    if ex["sweep"] not in _SWEEP_OUTPUTS:
+        raise ConfigError(f"sweep must be one of {tuple(_SWEEP_OUTPUTS)}")
     if ex["ml_mode"] not in _ML_MODES:
         raise ConfigError(f"ml_mode must be one of {_ML_MODES}")
     if mo["nl_layer_index"] != "last":
@@ -394,29 +395,22 @@ def build_model(
     return model
 
 
-def _train_and_test(cfg, model, dataset, seed):
-    result = trainer.train(model, dataset, _train_config(cfg.values, seed))
-    if result.diverged:
-        raise NumericalFailure(f"training diverged (seed {seed})")
-    test = trainer.evaluate(result.best_model, dataset, dataset.split.test)
-    if not np.isfinite(test.rmse):
-        raise NumericalFailure(f"non-finite test RMSE (seed {seed})")
-    return result, test
-
-
-def _ml_estimator(cfg: ExperimentConfig, geometry: emfield.SimGeometry):
-    ex = cfg["experiment"]
-    sc = cfg["scenario"]
-    bounds = (sc["r_min_m"], sc["r_max_m"])
-    theta_max = np.deg2rad(sc["theta_max_deg"])
+def _matched_filter(cfg: ExperimentConfig, geometry, dataset) -> trainer.EvalResult:
+    """Matched-filter grid search over the test split, per ``ml_mode``."""
+    ex, sc = cfg["experiment"], cfg["scenario"]
+    bounds, theta_max = (sc["r_min_m"], sc["r_max_m"]), np.deg2rad(sc["theta_max_deg"])
     if ex["ml_mode"] == "exhaustive":
-        grid = baselines.make_search_grid(
-            bounds, theta_max, ex["ml_exhaustive_points"], ex["ml_exhaustive_points"]
+        n = ex["ml_exhaustive_points"]
+        grid = baselines.make_search_grid(bounds, theta_max, n, n)
+        estimator = lambda field: baselines.ml_estimate(field, geometry, grid)
+    else:
+        estimator = lambda field: baselines.ml_estimate_two_stage(
+            field, geometry, bounds, theta_max, ex["ml_coarse"], ex["ml_refine"]
         )
-        return lambda field: baselines.ml_estimate(field, geometry, grid)
-    return lambda field: baselines.ml_estimate_two_stage(
-        field, geometry, bounds, theta_max, ex["ml_coarse"], ex["ml_refine"]
-    )
+    result = baselines.evaluate_ml(dataset, geometry, dataset.split.test, estimator)
+    if not np.isfinite(result.rmse):
+        raise NumericalFailure("non-finite matched-filter RMSE")
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -424,39 +418,28 @@ def _ml_estimator(cfg: ExperimentConfig, geometry: emfield.SimGeometry):
 # ---------------------------------------------------------------------------
 
 
-class _CsvWriter:
-    """Streams rows and flushes after each write so an interrupted sweep
-    keeps its completed points."""
-
-    def __init__(self, path: Path, header_comment: str, columns):
-        self._fh = open(path, "w", encoding="utf-8")
-        self._fh.write(header_comment + "\n")
-        self._fh.write(",".join(columns) + "\n")
-        self._fh.flush()
-
-    def row(self, *values):
-        out = []
-        for v in values:
-            if isinstance(v, float):
-                out.append(repr(v))
-            else:
-                out.append(str(v))
-        self._fh.write(",".join(out) + "\n")
-        self._fh.flush()
-
-    def close(self):
-        self._fh.close()
-
-
 def _header(cfg: ExperimentConfig) -> str:
     return f"# config_hash={cfg.hash_id} seed={cfg['experiment']['seed']}"
 
 
+def _csv_line(values) -> str:
+    return ",".join(repr(v) if isinstance(v, float) else str(v) for v in values) + "\n"
+
+
+def _write_csv(path: Path, cfg: ExperimentConfig, columns, rows) -> None:
+    """A whole CSV file, replaced atomically."""
+
+    def write(fh):
+        fh.write(_header(cfg) + "\n" + _csv_line(columns))
+        for row in rows:
+            fh.write(_csv_line(row))
+
+    simnet.atomic_write(path, write)
+
+
 def write_records_csv(path: Path, cfg: ExperimentConfig, records: np.ndarray) -> None:
-    w = _CsvWriter(path, _header(cfg), ["r", "theta", "r_hat", "theta_hat", "error_m"])
-    for rec in records:
-        w.row(*(float(rec[name]) for name in records.dtype.names))
-    w.close()
+    rows = ([float(rec[name]) for name in records.dtype.names] for rec in records)
+    _write_csv(path, cfg, ["r", "theta", "r_hat", "theta_hat", "error_m"], rows)
 
 
 def _svg_polyline(points, color):
@@ -540,112 +523,115 @@ def svg_plot(path, series, x_label: str, y_label: str, title: str = "") -> None:
 # ---------------------------------------------------------------------------
 
 
-def run_experiment(cfg: ExperimentConfig, out_root) -> Path:
-    """Train/evaluate per the sweep axis; returns the output directory.
-
-    Results stream into ``results.csv`` one row per completed point, so
-    partial sweeps leave usable files behind.
-    """
+def _output_dir(cfg: ExperimentConfig, out_root) -> Path:
+    """``<out_root>/<config hash>/``, created, holding ``config.ini``."""
     out_dir = Path(out_root) / cfg.hash_id
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config.ini").write_text(cfg.text, encoding="utf-8")
+    return out_dir
+
+
+# One trained configuration of a sweep: ``value`` fills the ``point``
+# column, ``nl_position`` None keeps the config's nl_layer_index, and
+# ``variant`` is the nl_mode it trains with.
+SweepPoint = collections.namedtuple("SweepPoint", "value depth nl_position variant")
+
+
+def sweep_points(cfg: ExperimentConfig) -> list:
+    """The sweep's points in output order, consecutive in depth."""
+    depth, nl_mode = cfg["scenario"]["num_layers"], cfg["model"]["nl_mode"]
     sweep = cfg["experiment"]["sweep"]
-    seeds = cfg["training"]["seeds"]
+    if sweep == "none":
+        return [SweepPoint("single", depth, None, nl_mode)]
+    if sweep == "nl-layer-index":
+        return [SweepPoint(p, depth, p, nl_mode) for p in range(1, depth + 1)]
+    depths = cfg["experiment"]["depth_values"]
+    return [SweepPoint(d, d, d, variant) for d in depths for variant in _NL_MODES]
 
-    results = _CsvWriter(
-        out_dir / "results.csv",
-        _header(cfg),
-        ["sweep", "point", "variant", "seed", "test_rmse_m"],
-    )
-    models_dir = out_dir / "models"
-    models_dir.mkdir(exist_ok=True)
 
-    def run_point(point, variant, geometry, propagation, dataset, nl_position=None):
-        rmses = []
-        for seed in seeds:
-            point_cfg = cfg if variant is None else _variant_config(cfg, variant)
-            model = build_model(
-                point_cfg, geometry, propagation, dataset, seed, nl_position
-            )
-            result, test = _train_and_test(point_cfg, model, dataset, seed)
-            rmses.append(test.rmse)
-            label = variant or cfg["model"]["nl_mode"]
-            results.row(sweep, point, label, seed, test.rmse)
-            hist = _CsvWriter(
-                out_dir / f"history-{point}-{label}-{seed}.csv",
-                _header(cfg),
-                ["epoch", "train_loss", "val_rmse"],
-            )
-            for epoch, loss, val in trainer.history_rows(result):
-                hist.row(epoch, loss, val)
-            hist.close()
-            simnet.save_checkpoint(
-                models_dir / f"{point}-{label}-{seed}.json",
-                result.best_model,
-                extra={"test_rmse_m": test.rmse, "seed": seed},
-            )
-        mean = float(np.mean(rmses))
-        results.row(sweep, point, variant or cfg["model"]["nl_mode"], "mean", mean)
-        return mean, result, test
+# experiment.sweep kind -> (records.csv of the last seed, a matched-filter
+# row after each depth, results.svg x label and title or None)
+_SWEEP_OUTPUTS = {
+    "none": (True, True, None),
+    "nl-layer-index": (False, False, ("nonlinear layer position", "placement sweep")),
+    "depth-L": (False, True, ("number of layers", "depth sweep")),
+}
 
-    try:
-        if sweep == "none":
-            geometry = build_geometry(cfg)
-            propagation = simnet.compute_propagation(geometry)
-            dataset = build_dataset(cfg, geometry)
-            _, _, test = run_point("single", None, geometry, propagation, dataset)
-            write_records_csv(out_dir / "records.csv", cfg, test.records)
-            ml = baselines.evaluate_ml(
-                dataset, geometry, dataset.split.test, _ml_estimator(cfg, geometry)
-            )
-            results.row(sweep, "single", "ml", "-", ml.rmse)
-        elif sweep == "nl-layer-index":
-            geometry = build_geometry(cfg)
-            propagation = simnet.compute_propagation(geometry)
-            dataset = build_dataset(cfg, geometry)
-            means = []
-            for position in range(1, geometry.num_layers + 1):
-                mean, _, _ = run_point(
-                    position, None, geometry, propagation, dataset, nl_position=position
+
+def _run_point(cfg, point, geometry, propagation, dataset, out_dir, emit):
+    """Train and test ``point`` once per seed, writing its histories and
+    checkpoints and emitting its results rows; returns the mean test
+    RMSE and the last seed's test result."""
+    sweep = cfg["experiment"]["sweep"]
+    point_cfg = _variant_config(cfg, point.variant)
+    rmses = []
+    for seed in cfg["training"]["seeds"]:
+        model = build_model(point_cfg, geometry, propagation, dataset, seed, point.nl_position)
+        result = trainer.train(model, dataset, _train_config(cfg.values, seed))
+        if result.diverged:
+            raise NumericalFailure(f"training diverged (seed {seed})")
+        test = trainer.evaluate(result.best_model, dataset, dataset.split.test)
+        if not np.isfinite(test.rmse):
+            raise NumericalFailure(f"non-finite test RMSE (seed {seed})")
+        rmses.append(test.rmse)
+        emit(sweep, point.value, point.variant, seed, test.rmse)
+        name = f"{point.value}-{point.variant}-{seed}"
+        history = out_dir / f"history-{name}.csv"
+        _write_csv(history, cfg, ["epoch", "train_loss", "val_rmse"], trainer.history_rows(result))
+        simnet.save_checkpoint(
+            out_dir / "models" / f"{name}.json",
+            result.best_model,
+            extra={"test_rmse_m": test.rmse, "seed": seed},
+        )
+    mean = float(np.mean(rmses))
+    emit(sweep, point.value, point.variant, "mean", mean)
+    return mean, test
+
+
+def run_experiment(cfg: ExperimentConfig, out_root) -> Path:
+    """Train and evaluate each of :func:`sweep_points` in order; returns
+    the output directory.
+
+    Each depth builds its geometry and coupling once.  The dataset is
+    drawn once per run (a draw reads only the first layer, so every
+    depth sees the same one), and so is the matched filter.
+    ``results.csv`` streams one row per seed and a mean row per point,
+    so partial sweeps leave usable files behind; ``_SWEEP_OUTPUTS``
+    adds the per-kind files and rows.
+    """
+    out_dir = _output_dir(cfg, out_root)
+    (out_dir / "models").mkdir(exist_ok=True)
+    sweep = cfg["experiment"]["sweep"]
+    write_records, ml_rows, plot = _SWEEP_OUTPUTS[sweep]
+    geometry = build_geometry(cfg)
+    dataset = build_dataset(cfg, geometry)
+    ml_rmse = _matched_filter(cfg, geometry, dataset).rmse if ml_rows else None
+    curves = {}  # variant -> (point values, mean RMSEs)
+    with open(out_dir / "results.csv", "w", encoding="utf-8") as results:
+
+        def emit(*values):
+            results.write(_csv_line(values))
+            results.flush()
+
+        emit(_header(cfg))
+        emit("sweep", "point", "variant", "seed", "test_rmse_m")
+        for depth, group in itertools.groupby(sweep_points(cfg), lambda p: p.depth):
+            depth_geometry = build_geometry(cfg, num_layers=depth)
+            propagation = simnet.compute_propagation(depth_geometry)
+            for point in group:
+                mean, test = _run_point(
+                    cfg, point, depth_geometry, propagation, dataset, out_dir, emit
                 )
-                means.append(mean)
-            svg_plot(
-                out_dir / "results.svg",
-                [("mean test RMSE", np.arange(1, geometry.num_layers + 1), means)],
-                "nonlinear layer position",
-                "test RMSE [m]",
-                "placement sweep",
-            )
-        else:  # depth-L
-            depths = cfg["experiment"]["depth_values"]
-            curves = {v: [] for v in _NL_MODES}
-            ml_rmse = None
-            for depth in depths:
-                geometry = build_geometry(cfg, num_layers=depth)
-                propagation = simnet.compute_propagation(geometry)
-                dataset = build_dataset(cfg, geometry)
-                for variant in _NL_MODES:
-                    mean, _, _ = run_point(
-                        depth, variant, geometry, propagation, dataset,
-                        nl_position=depth,
-                    )
-                    curves[variant].append(mean)
-                if ml_rmse is None:
-                    ml = baselines.evaluate_ml(
-                        dataset, geometry, dataset.split.test,
-                        _ml_estimator(cfg, geometry),
-                    )
-                    ml_rmse = ml.rmse
-                results.row(sweep, depth, "ml", "-", ml_rmse)
-            svg_plot(
-                out_dir / "results.svg",
-                [(v, depths, curves[v]) for v in _NL_MODES],
-                "number of layers",
-                "test RMSE [m]",
-                "depth sweep",
-            )
-    finally:
-        results.close()
+                xs, ys = curves.setdefault(point.variant, ([], []))
+                xs.append(point.value)
+                ys.append(mean)
+            if write_records:
+                write_records_csv(out_dir / "records.csv", cfg, test.records)
+            if ml_rows:
+                emit(sweep, point.value, "ml", "-", ml_rmse)
+    if plot:
+        series = [(variant, xs, ys) for variant, (xs, ys) in curves.items()]
+        svg_plot(out_dir / "results.svg", series, plot[0], "test RMSE [m]", plot[1])
     return out_dir
 
 
@@ -663,9 +649,7 @@ def export_curves(cfg: ExperimentConfig, out_root) -> Path:
     if not alphas:
         raise ConfigError("curves.alphas must list at least one coefficient")
     bias = -cu["bias_shift_volts"]
-    out_dir = Path(out_root) / cfg.hash_id
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "config.ini").write_text(cfg.text, encoding="utf-8")
+    out_dir = _output_dir(cfg, out_root)
 
     amplitudes = np.linspace(0.0, cu["v_max"], cu["samples"])
     columns, fits = [], []
@@ -677,23 +661,11 @@ def export_curves(cfg: ExperimentConfig, out_root) -> Path:
             (alpha, nonlin.fit_relu_approximation(table, (0.0, cu["v_max"])))
         )
 
-    w = _CsvWriter(
-        out_dir / "curves.csv",
-        _header(cfg),
-        ["amplitude"] + [f"C_alpha_{a:g}" for a in alphas],
-    )
-    for i, v in enumerate(amplitudes):
-        w.row(float(v), *(float(col[i]) for col in columns))
-    w.close()
-
-    w = _CsvWriter(
-        out_dir / "relu_fits.csv",
-        _header(cfg),
-        ["alpha", "gain", "knee", "residual_rms"],
-    )
-    for alpha, fit in fits:
-        w.row(float(alpha), fit.gain, fit.knee, fit.residual_rms)
-    w.close()
+    rows = ([float(v), *(float(col[i]) for col in columns)] for i, v in enumerate(amplitudes))
+    header = ["amplitude"] + [f"C_alpha_{a:g}" for a in alphas]
+    _write_csv(out_dir / "curves.csv", cfg, header, rows)
+    fit_rows = ([float(alpha), fit.gain, fit.knee, fit.residual_rms] for alpha, fit in fits)
+    _write_csv(out_dir / "relu_fits.csv", cfg, ["alpha", "gain", "knee", "residual_rms"], fit_rows)
 
     series = [
         (f"alpha {a:g}", amplitudes, col) for a, col in zip(alphas, columns)
@@ -803,20 +775,12 @@ def self_check(seed: int = 0, stream=None) -> bool:
 
 def run_ml_baseline(cfg: ExperimentConfig, out_root) -> Path:
     """Matched-filter evaluation on a fresh dataset's test split."""
-    out_dir = Path(out_root) / cfg.hash_id
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "config.ini").write_text(cfg.text, encoding="utf-8")
+    out_dir = _output_dir(cfg, out_root)
     geometry = build_geometry(cfg)
-    dataset = build_dataset(cfg, geometry)
-    result = baselines.evaluate_ml(
-        dataset, geometry, dataset.split.test, _ml_estimator(cfg, geometry)
-    )
-    if not np.isfinite(result.rmse):
-        raise NumericalFailure("non-finite matched-filter RMSE")
+    result = _matched_filter(cfg, geometry, build_dataset(cfg, geometry))
     write_records_csv(out_dir / "ml_records.csv", cfg, result.records)
-    w = _CsvWriter(out_dir / "ml_summary.csv", _header(cfg), ["estimator", "test_rmse_m"])
-    w.row(cfg["experiment"]["ml_mode"], result.rmse)
-    w.close()
+    summary = [[cfg["experiment"]["ml_mode"], result.rmse]]
+    _write_csv(out_dir / "ml_summary.csv", cfg, ["estimator", "test_rmse_m"], summary)
     return out_dir
 
 

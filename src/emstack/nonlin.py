@@ -465,8 +465,7 @@ class FittedRelu(Activation):
         return self.gain * (np.where(e > 0, 1.0, 0.0) + np.where(e == 0, 0.5, 0.0))
 
     def bias_derivative(self, v, bias=0.0):
-        e = self._excess(v, bias)
-        return self.gain * (np.where(e > 0, 1.0, 0.0) + np.where(e == 0, 0.5, 0.0))
+        return self.derivative(v, bias)
 
 
 class TabulatedActivationSet(Activation):

@@ -226,13 +226,11 @@ class ForwardTrace:
     """Intermediate fields retained for the backward pass.
 
     ``pre_activation[i]`` is the field after the coupling into
-    layer i+1 and before its phase shift or nonlinearity;
-    ``post_activation[i]`` is the field leaving that layer.
+    layer i+1 and before its phase shift or nonlinearity, so
+    ``pre_activation[0]`` is the input field.
     """
 
-    input_field: np.ndarray
     pre_activation: list = field(default_factory=list)
-    post_activation: list = field(default_factory=list)
     output_field: np.ndarray | None = None
 
 
@@ -242,7 +240,7 @@ def forward(model: SimModel, input_field) -> ForwardTrace:
     m = model.geometry.num_cells
     if x.shape[-1] != m:
         raise ValueError(f"input trailing axis {x.shape[-1]} != cell count {m}")
-    trace = ForwardTrace(input_field=x)
+    trace = ForwardTrace()
     for i, layer in enumerate(model.layers):
         # coupling into layer i+1; the first layer sees the input directly
         z = x if i == 0 else model.propagation.interlayer.apply(x)
@@ -251,7 +249,6 @@ def forward(model: SimModel, input_field) -> ForwardTrace:
             x = np.exp(1j * layer.phases) * z
         else:
             x = layer.activation.apply(z, layer.biases)
-        trace.post_activation.append(x)
     trace.output_field = x @ model.propagation.output.T
     return trace
 
@@ -467,20 +464,17 @@ def model_from_dict(data: dict, propagation: Propagation | None = None) -> SimMo
     return assemble_model(geometry, layers, propagation, data.get("readout_scale"))
 
 
-def save_checkpoint(path, model: SimModel, extra: dict | None = None) -> None:
-    """Single JSON file; float repr round-trips bit-exactly.
+def atomic_write(path, write) -> None:
+    """Write a whole text file through ``write(fh)``.
 
-    The file is written in full next to ``path`` and then renamed over
-    it, so a failed save leaves an existing checkpoint intact.
+    The file is written in full next to ``path``, flushed to disk and
+    then renamed over ``path``, so a failed write leaves an existing
+    file intact and no temporary file behind.
     """
-    payload = model_to_dict(model)
-    if extra:
-        payload["extra"] = extra
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=1)
-            fh.write("\n")
+            write(fh)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -488,6 +482,20 @@ def save_checkpoint(path, model: SimModel, extra: dict | None = None) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def save_checkpoint(path, model: SimModel, extra: dict | None = None) -> None:
+    """Single JSON file, written atomically; float repr round-trips
+    bit-exactly."""
+    payload = model_to_dict(model)
+    if extra:
+        payload["extra"] = extra
+
+    def write(fh):
+        json.dump(payload, fh, indent=1)
+        fh.write("\n")
+
+    atomic_write(path, write)
 
 
 def load_checkpoint(path, propagation: Propagation | None = None):

@@ -179,6 +179,59 @@ class TestRunVerb:
             assert sum(1 for r in rows if r[1] == depth) == 7
 
 
+PLACEMENT = TINY.replace("nl_mode = linear", "nl_mode = trainable") + "\nsweep = nl-layer-index\n"
+DEPTH = TINY.replace("nl_mode = linear", "nl_mode = trainable") + (
+    "\nsweep = depth-L\ndepth_values = 1, 2\n"
+)
+
+
+class TestRunner:
+    def test_dataset_is_identical_across_depths(self):
+        # the runner draws one dataset per run and uses it at every depth
+        cfg = cli.load_config(TINY)
+        reference = cli.build_dataset(cfg, cli.build_geometry(cfg, num_layers=1))
+        for depth in (2, 4, 6):
+            dataset = cli.build_dataset(cfg, cli.build_geometry(cfg, num_layers=depth))
+            for name in ("fields", "positions", "r", "theta"):
+                assert getattr(dataset, name).tobytes() == getattr(reference, name).tobytes()
+            for part in ("train", "validation", "test"):
+                np.testing.assert_array_equal(
+                    getattr(dataset.split, part), getattr(reference.split, part)
+                )
+
+    def test_depth_ml_rows_match_ml_baseline(self, tmp_path):
+        cfg = cli.load_config(DEPTH)
+        _, rows = read_rows(cli.run_experiment(cfg, tmp_path / "run") / "results.csv")
+        _, summary = read_rows(cli.run_ml_baseline(cfg, tmp_path / "ml") / "ml_summary.csv")
+        ml = [(r[1], r[4]) for r in rows if r[2] == "ml"]
+        assert ml == [("1", summary[0][1]), ("2", summary[0][1])]
+
+    @pytest.mark.parametrize("text", [TINY, PLACEMENT, DEPTH], ids=["none", "placement", "depth"])
+    def test_output_files_match_result_rows(self, tmp_path, text):
+        cfg = cli.load_config(text.replace("seeds = 7", "seeds = 7, 8"))
+        out = cli.run_experiment(cfg, tmp_path)
+        _, rows = read_rows(out / "results.csv")
+        names = sorted(f"{p}-{v}-{seed}" for _, p, v, seed, _ in rows if seed not in ("mean", "-"))
+        assert len(names) == 2 * sum(1 for r in rows if r[3] == "mean")
+        histories = sorted(p.stem[len("history-") :] for p in out.glob("history-*.csv"))
+        assert histories == names
+        assert sorted(p.stem for p in (out / "models").glob("*.json")) == names
+
+    def test_failed_records_write_keeps_existing_file(self, tmp_path):
+        cfg = cli.load_config(TINY)
+        path = tmp_path / "records.csv"
+        records = np.zeros(3, dtype=trainer.RECORD_DTYPE)
+        cli.write_records_csv(path, cfg, records)
+        before = path.read_bytes()
+        # the third row fails to convert after two rows were written
+        bad = records.astype([(name, object) for name in records.dtype.names])
+        bad["r"][2] = "not a number"
+        with pytest.raises(ValueError):
+            cli.write_records_csv(path, cfg, bad)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["records.csv"]
+
+
 class TestCurvesVerb:
     def test_two_alpha_curve_export(self, tmp_path):
         text = "[curves]\nalphas = 20, 40\nsamples = 50\n"
