@@ -13,10 +13,11 @@ trainer
 baselines
     All-linear stacks and matched-filter grid-search estimation.
 cli
-    Experiment runner (``emstack run | curves | check | ml-baseline``).
+    Experiment runner (``emstack run | curves | check | ml-baseline``);
+    not imported eagerly, so ``python -m emstack.cli`` runs cleanly.
 """
 
-from . import baselines, cli, emfield, nonlin, simnet, trainer
+from . import baselines, emfield, nonlin, simnet, trainer
 from .emfield import Scenario, SimGeometry, UePosition, build_geometry, draw_sample
 from .nonlin import DiodeCircuitParams, FittedRelu, diode_activation
 from .simnet import (
@@ -50,7 +51,6 @@ __all__ = [
     "backward",
     "baselines",
     "build_geometry",
-    "cli",
     "compute_propagation",
     "diode_activation",
     "draw_sample",

@@ -232,17 +232,6 @@ def evaluate_ml(
 ) -> trainer.EvalResult:
     """Run a (field -> (r, theta)) estimator over a split; same record
     schema and RMSE definition as the trained-model evaluation."""
-    indices = np.asarray(indices)
-    if indices.size == 0:
-        raise ValueError("cannot evaluate an empty split")
-    records = np.empty(indices.size, dtype=trainer.RECORD_DTYPE)
-    estimates = np.empty((indices.size, 2))
-    for row, i in enumerate(indices):
-        r_hat, th_hat = estimator(dataset.fields[i])
-        estimates[row] = (r_hat * np.cos(th_hat), r_hat * np.sin(th_hat))
-        records[row] = (dataset.r[i], dataset.theta[i], r_hat, th_hat, 0.0)
-    truth = dataset.position_matrix(indices)
-    records["error_m"] = np.sqrt(np.sum((estimates - truth) ** 2, axis=-1))
-    return trainer.EvalResult(
-        rmse=trainer.position_rmse(estimates, truth), records=records
-    )
+    estimates = [estimator(dataset.fields[i]) for i in np.asarray(indices)]
+    r_hat, theta_hat = np.array(estimates, dtype=float).reshape(-1, 2).T
+    return trainer.score_estimates(dataset, indices, r_hat, theta_hat)

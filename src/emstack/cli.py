@@ -220,6 +220,8 @@ def _validate(cfg: dict) -> None:
             raise ConfigError("nl_layer_index outside 1..num_layers")
     if sc["cells_per_side"] < 1 or sc["num_layers"] < 1:
         raise ConfigError("cells_per_side and num_layers must be >= 1")
+    if sc["num_output_antennas"] != 2:
+        raise ConfigError("num_output_antennas must be 2: the readout maps two amplitudes")
     if not 0 < sc["r_min_m"] < sc["r_max_m"]:
         raise ConfigError("need 0 < r_min_m < r_max_m")
     if not 0 < sc["theta_max_deg"] <= 70.0:
@@ -408,6 +410,8 @@ def _matched_filter(cfg: ExperimentConfig, geometry, dataset) -> trainer.EvalRes
             field, geometry, bounds, theta_max, ex["ml_coarse"], ex["ml_refine"]
         )
     result = baselines.evaluate_ml(dataset, geometry, dataset.split.test, estimator)
+    # the two-stage coarse steering matrix (256 MB at 40x40 cells) is not used again
+    baselines._coarse_steering.cache_clear()
     if not np.isfinite(result.rmse):
         raise NumericalFailure("non-finite matched-filter RMSE")
     return result
@@ -439,7 +443,7 @@ def _write_csv(path: Path, cfg: ExperimentConfig, columns, rows) -> None:
 
 def write_records_csv(path: Path, cfg: ExperimentConfig, records: np.ndarray) -> None:
     rows = ([float(rec[name]) for name in records.dtype.names] for rec in records)
-    _write_csv(path, cfg, ["r", "theta", "r_hat", "theta_hat", "error_m"], rows)
+    _write_csv(path, cfg, records.dtype.names, rows)
 
 
 def _svg_polyline(points, color):
@@ -567,6 +571,10 @@ def _run_point(cfg, point, geometry, propagation, dataset, out_dir, emit):
     rmses = []
     for seed in cfg["training"]["seeds"]:
         model = build_model(point_cfg, geometry, propagation, dataset, seed, point.nl_position)
+        try:
+            trainer.calibrate_readout_scale(model, dataset)
+        except ValueError as exc:  # a dead model: every training output is zero
+            raise NumericalFailure(str(exc)) from exc
         result = trainer.train(model, dataset, _train_config(cfg.values, seed))
         if result.diverged:
             raise NumericalFailure(f"training diverged (seed {seed})")

@@ -15,7 +15,7 @@ matched-filter baseline) consumes the objects built here.  Conventions:
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -39,14 +39,13 @@ class SimGeometry:
     Cells form a square grid with half-wavelength pitch on every layer;
     layer l sits at axial coordinate (l - 1) * layer_spacing_m.  The
     output array is a line of antennas along x at output_distance_m
-    behind the last layer.
+    behind the last layer.  The init fields are the defining parameters
+    (see :meth:`parameters`); the rest is derived from them.
 
     Attributes
     ----------
     carrier_frequency_hz : float
         Carrier frequency f0.
-    wavelength_m : float
-        Wavelength c / f0.
     cells_per_side : int
         Grid side length; each layer has cells_per_side**2 cells.
     num_layers : int
@@ -58,23 +57,71 @@ class SimGeometry:
     num_output_antennas : int
         Output array size N_R.
     output_spacing_m : float
-        Element pitch of the output array.
+        Element pitch of the output array; half a wavelength if None.
+    wavelength_m : float
+        Wavelength c / f0.
     cell_positions : tuple of ndarray
-        Per-layer (M, 3) cell coordinates in meters.
+        Per-layer (M, 3) cell coordinates in meters, centered on each
+        layer's plane center, x fastest then y.
     output_positions : ndarray
         (N_R, 3) output antenna coordinates.
+
+    Raises
+    ------
+    ValueError
+        If the frequency, a distance, or a count is not positive.
     """
 
     carrier_frequency_hz: float
-    wavelength_m: float
     cells_per_side: int
     num_layers: int
     layer_spacing_m: float
     output_distance_m: float
-    num_output_antennas: int
-    output_spacing_m: float
-    cell_positions: tuple
-    output_positions: np.ndarray
+    num_output_antennas: int = 2
+    output_spacing_m: float | None = None
+    wavelength_m: float = field(init=False)
+    cell_positions: tuple = field(init=False, repr=False)
+    output_positions: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        # counts to int, lengths and the frequency to float, as stored
+        for f in fields(self):
+            if f.init and getattr(self, f.name) is not None:
+                cast = int if f.type in (int, "int") else float
+                object.__setattr__(self, f.name, cast(getattr(self, f.name)))
+        if self.carrier_frequency_hz <= 0:
+            raise ValueError("carrier frequency must be positive")
+        if self.cells_per_side < 1 or self.num_layers < 1 or self.num_output_antennas < 1:
+            raise ValueError("cell grid, layer and antenna counts must be >= 1")
+        if self.layer_spacing_m <= 0 or self.output_distance_m <= 0:
+            raise ValueError("layer spacing and output distance must be positive")
+        object.__setattr__(self, "wavelength_m", SPEED_OF_LIGHT / self.carrier_frequency_hz)
+        if self.output_spacing_m is None:
+            object.__setattr__(self, "output_spacing_m", self.cell_pitch_m)
+
+        n = self.cells_per_side
+        axis = (np.arange(n) - (n - 1) / 2.0) * self.cell_pitch_m
+        gx, gy = np.meshgrid(axis, axis, indexing="xy")
+        layers = []
+        for z in np.arange(self.num_layers) * self.layer_spacing_m:
+            pos = np.column_stack([gx.ravel(), gy.ravel(), np.full(n * n, z)])
+            pos.setflags(write=False)
+            layers.append(pos)
+        object.__setattr__(self, "cell_positions", tuple(layers))
+
+        k = self.num_output_antennas
+        out = np.column_stack([
+            (np.arange(k) - (k - 1) / 2.0) * self.output_spacing_m,
+            np.zeros(k),
+            np.full(k, (self.num_layers - 1) * self.layer_spacing_m + self.output_distance_m),
+        ])
+        out.setflags(write=False)
+        object.__setattr__(self, "output_positions", out)
+
+    def parameters(self) -> dict:
+        """The defining parameters by name, in declaration order; this
+        is the geometry entry of a checkpoint."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.init}
 
     @property
     def num_cells(self) -> int:
@@ -102,79 +149,11 @@ class SimGeometry:
 
     def fingerprint(self) -> str:
         """Stable hash of the defining parameters, for run provenance."""
-        key = (
-            f"{self.carrier_frequency_hz!r}|{self.cells_per_side}|"
-            f"{self.num_layers}|{self.layer_spacing_m!r}|"
-            f"{self.output_distance_m!r}|{self.num_output_antennas}|"
-            f"{self.output_spacing_m!r}"
-        )
-        return hashlib.sha256(key.encode()).hexdigest()[:16]
+        return hashlib.sha256(repr(self.parameters()).encode()).hexdigest()[:16]
 
 
-def build_geometry(
-    carrier_frequency_hz: float,
-    cells_per_side: int,
-    num_layers: int,
-    layer_spacing_m: float,
-    output_distance_m: float,
-    num_output_antennas: int = 2,
-    output_spacing_m: float | None = None,
-) -> SimGeometry:
-    """Assemble a :class:`SimGeometry` from scenario parameters.
-
-    Cell coordinates are centered on each layer's plane center.  The
-    output array pitch defaults to half a wavelength.
-
-    Raises
-    ------
-    ValueError
-        If the frequency, a distance, or a count is not positive.
-    """
-    if carrier_frequency_hz <= 0:
-        raise ValueError("carrier frequency must be positive")
-    if cells_per_side < 1 or num_layers < 1 or num_output_antennas < 1:
-        raise ValueError("cell grid, layer and antenna counts must be >= 1")
-    if layer_spacing_m <= 0 or output_distance_m <= 0:
-        raise ValueError("layer spacing and output distance must be positive")
-
-    wavelength = SPEED_OF_LIGHT / carrier_frequency_hz
-    pitch = wavelength / 2.0
-    if output_spacing_m is None:
-        output_spacing_m = pitch
-
-    n = cells_per_side
-    # Grid centered at the plane center, x fastest then y.
-    axis = (np.arange(n) - (n - 1) / 2.0) * pitch
-    gx, gy = np.meshgrid(axis, axis, indexing="xy")
-    base = np.column_stack([gx.ravel(), gy.ravel(), np.zeros(n * n)])
-
-    layers = []
-    for l in range(num_layers):
-        pos = base.copy()
-        pos[:, 2] = l * layer_spacing_m
-        pos.setflags(write=False)
-        layers.append(pos)
-
-    out_axis = (np.arange(num_output_antennas) - (num_output_antennas - 1) / 2.0)
-    out = np.column_stack([
-        out_axis * output_spacing_m,
-        np.zeros(num_output_antennas),
-        np.full(num_output_antennas, (num_layers - 1) * layer_spacing_m + output_distance_m),
-    ])
-    out.setflags(write=False)
-
-    return SimGeometry(
-        carrier_frequency_hz=float(carrier_frequency_hz),
-        wavelength_m=float(wavelength),
-        cells_per_side=int(cells_per_side),
-        num_layers=int(num_layers),
-        layer_spacing_m=float(layer_spacing_m),
-        output_distance_m=float(output_distance_m),
-        num_output_antennas=int(num_output_antennas),
-        output_spacing_m=float(output_spacing_m),
-        cell_positions=tuple(layers),
-        output_positions=out,
-    )
+# The public constructor name.
+build_geometry = SimGeometry
 
 
 def fraunhofer_distance(geometry: SimGeometry) -> float:

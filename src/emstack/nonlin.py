@@ -285,6 +285,9 @@ class Activation:
     """
 
     supports_bias = False
+    # checkpoint descriptor: the kind, then these constructor arguments
+    kind = None
+    param_names = ()
 
     def value(self, v, bias=0.0):
         raise NotImplementedError
@@ -315,6 +318,8 @@ class ScaledLinear(Activation):
     """C[v] = gain * v.  An input bias on a linear device cancels out of
     the fundamental harmonic, so the bias argument is a no-op."""
 
+    kind = "scaled_linear"
+    param_names = ("gain",)
     supports_bias = True
 
     def __init__(self, gain: float):
@@ -333,6 +338,8 @@ class ScaledLinear(Activation):
 class ZeroActivation(Activation):
     """Identically zero output (even bandpass response)."""
 
+    kind = "zero"
+
     def value(self, v, bias=0.0):
         self._require_zero_bias(bias)
         return np.zeros(np.shape(v))
@@ -344,6 +351,9 @@ class ZeroActivation(Activation):
 
 class ConstantAmplitude(Activation):
     """C[v] = level for v > 0, 0 at v = 0 (hard-limiter response)."""
+
+    kind = "constant_amplitude"
+    param_names = ("level",)
 
     def __init__(self, level: float):
         self.level = float(level)
@@ -360,6 +370,9 @@ class ConstantAmplitude(Activation):
 
 class PowerLowpass(Activation):
     """C[v] = coefficient * v**exponent."""
+
+    kind = "power"
+    param_names = ("exponent", "coefficient")
 
     def __init__(self, exponent: int, coefficient: float):
         self.exponent = int(exponent)
@@ -391,6 +404,8 @@ class ShiftedReluLowpass(Activation):
     arrays so one object serves a whole layer of per-cell devices.
     """
 
+    kind = "shifted_relu_lowpass"
+    param_names = ("shift", "gain")
     supports_bias = True
 
     def __init__(self, shift=0.0, gain=1.0):
@@ -448,6 +463,8 @@ class FittedRelu(Activation):
     parameters may be per-cell arrays.
     """
 
+    kind = "fitted_relu"
+    param_names = ("gain", "knee")
     supports_bias = True
 
     def __init__(self, gain, knee=0.0):
@@ -480,6 +497,9 @@ class TabulatedActivationSet(Activation):
     knot the value is clamped and the derivative is zero.  The operating
     point is frozen at tabulation time, so there is no bias derivative.
     """
+
+    kind = "tabulated_set"
+    param_names = ("grid", "values")
 
     def __init__(self, grid: np.ndarray, values: np.ndarray):
         grid = np.asarray(grid, dtype=float)
@@ -715,62 +735,33 @@ def _param_to_json(p):
     return p.tolist() if isinstance(p, np.ndarray) else p
 
 
+# checkpoint kind -> activation class; each class names its parameters
+_ACTIVATION_KINDS = {cls.kind: cls for cls in (
+    ScaledLinear, ZeroActivation, ConstantAmplitude, PowerLowpass,
+    ShiftedReluLowpass, FittedRelu, TabulatedActivationSet,
+)}
+
+
 def activation_to_dict(activation: Activation) -> dict:
-    """JSON-ready descriptor of an activation (for checkpoints).
+    """JSON-ready descriptor of an activation (for checkpoints): its
+    ``kind``, then each of its ``param_names`` in order.
 
     Scalar and per-cell array parameters both round-trip; arrays come
     back as arrays, scalars as scalars.
     """
-    if isinstance(activation, ScaledLinear):
-        return {"kind": "scaled_linear", "gain": activation.gain}
-    if isinstance(activation, ZeroActivation):
-        return {"kind": "zero"}
-    if isinstance(activation, ConstantAmplitude):
-        return {"kind": "constant_amplitude", "level": activation.level}
-    if isinstance(activation, PowerLowpass):
-        return {
-            "kind": "power",
-            "exponent": activation.exponent,
-            "coefficient": activation.coefficient,
-        }
-    if isinstance(activation, ShiftedReluLowpass):
-        return {
-            "kind": "shifted_relu_lowpass",
-            "shift": _param_to_json(activation.shift),
-            "gain": _param_to_json(activation.gain),
-        }
-    if isinstance(activation, FittedRelu):
-        return {
-            "kind": "fitted_relu",
-            "gain": _param_to_json(activation.gain),
-            "knee": _param_to_json(activation.knee),
-        }
-    if isinstance(activation, TabulatedActivationSet):
-        return {
-            "kind": "tabulated_set",
-            "grid": activation.grid.tolist(),
-            "values": activation.values.tolist(),
-        }
-    raise TypeError(f"cannot serialize activation {type(activation).__name__}")
+    cls = type(activation)
+    if _ACTIVATION_KINDS.get(cls.kind) is not cls:
+        raise TypeError(f"cannot serialize activation {cls.__name__}")
+    params = {name: _param_to_json(getattr(activation, name)) for name in cls.param_names}
+    return {"kind": cls.kind, **params}
 
 
 def activation_from_dict(desc: dict) -> Activation:
     """Inverse of :func:`activation_to_dict`."""
     kind = desc["kind"]
-    if kind == "scaled_linear":
-        return ScaledLinear(gain=desc["gain"])
-    if kind == "zero":
-        return ZeroActivation()
-    if kind == "constant_amplitude":
-        return ConstantAmplitude(level=desc["level"])
-    if kind == "power":
-        return PowerLowpass(exponent=desc["exponent"], coefficient=desc["coefficient"])
-    if kind == "shifted_relu_lowpass":
-        return ShiftedReluLowpass(shift=desc["shift"], gain=desc["gain"])
-    if kind == "fitted_relu":
-        return FittedRelu(gain=desc["gain"], knee=desc["knee"])
-    if kind == "tabulated_set":
-        return TabulatedActivationSet(np.array(desc["grid"]), np.array(desc["values"]))
     if kind == "tabulated":  # single-curve checkpoints written before tabulated_set
         return TabulatedActivationSet(np.array(desc["grid"]), np.array([desc["values"]]))
-    raise ValueError(f"unknown activation kind {kind!r}")
+    if kind not in _ACTIVATION_KINDS:
+        raise ValueError(f"unknown activation kind {kind!r}")
+    cls = _ACTIVATION_KINDS[kind]
+    return cls(**{name: desc[name] for name in cls.param_names})

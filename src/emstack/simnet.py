@@ -403,18 +403,6 @@ def finite_difference_check(
 # ---------------------------------------------------------------------------
 
 
-def _geometry_to_dict(g: emfield.SimGeometry) -> dict:
-    return {
-        "carrier_frequency_hz": g.carrier_frequency_hz,
-        "cells_per_side": g.cells_per_side,
-        "num_layers": g.num_layers,
-        "layer_spacing_m": g.layer_spacing_m,
-        "output_distance_m": g.output_distance_m,
-        "num_output_antennas": g.num_output_antennas,
-        "output_spacing_m": g.output_spacing_m,
-    }
-
-
 def model_to_dict(model: SimModel) -> dict:
     layers = []
     for layer in model.layers:
@@ -437,7 +425,7 @@ def model_to_dict(model: SimModel) -> dict:
             )
     return {
         "format": CHECKPOINT_FORMAT,
-        "geometry": _geometry_to_dict(model.geometry),
+        "geometry": model.geometry.parameters(),
         "layers": layers,
         "readout_scale": model.readout_scale,
     }

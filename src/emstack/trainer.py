@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib import recfunctions
 
 from . import emfield, simnet
 
@@ -264,7 +265,7 @@ class TrainResult:
 @dataclass(frozen=True)
 class EvalResult:
     rmse: float
-    records: np.ndarray  # structured: r, theta, r_hat, theta_hat, error_m
+    records: np.ndarray  # RECORD_DTYPE rows, one per sample
 
 
 RECORD_DTYPE = np.dtype(
@@ -278,26 +279,28 @@ RECORD_DTYPE = np.dtype(
 )
 
 
-def evaluate(model: simnet.SimModel, dataset: Dataset, indices) -> EvalResult:
-    """Position RMSE plus per-sample truth/estimate/error rows."""
+def score_estimates(dataset: Dataset, indices, r_hat, theta_hat) -> EvalResult:
+    """Position RMSE plus per-sample truth/estimate/error rows of polar
+    estimates (r_hat[k], theta_hat[k]) of sample ``indices[k]``."""
     indices = np.asarray(indices)
     if indices.size == 0:
         raise ValueError("cannot evaluate an empty split")
-    if model.readout_scale is None:
-        raise ValueError("model has no readout scale; calibrate before evaluating")
-    fields = dataset.field_matrix(indices)
-    out = simnet.forward(model, fields).output_field
-    bounds = (dataset.scenario.r_min_m, dataset.scenario.r_max_m)
-    range_est, azimuth_est, p_hat = simnet.readout(out, model.readout_scale, bounds)
+    p_hat = np.stack([r_hat * np.cos(theta_hat), r_hat * np.sin(theta_hat)], axis=-1)
     truth = dataset.position_matrix(indices)
     errors = np.sqrt(np.sum((p_hat - truth) ** 2, axis=-1))
-    records = np.empty(indices.size, dtype=RECORD_DTYPE)
-    records["r"] = dataset.r[indices]
-    records["theta"] = dataset.theta[indices]
-    records["r_hat"] = range_est
-    records["theta_hat"] = azimuth_est
-    records["error_m"] = errors
+    columns = (dataset.r[indices], dataset.theta[indices], r_hat, theta_hat, errors)
+    records = recfunctions.unstructured_to_structured(np.column_stack(columns), RECORD_DTYPE)
     return EvalResult(rmse=position_rmse(p_hat, truth), records=records)
+
+
+def evaluate(model: simnet.SimModel, dataset: Dataset, indices) -> EvalResult:
+    """:func:`score_estimates` of the model's readout over a split."""
+    if model.readout_scale is None:
+        raise ValueError("model has no readout scale; calibrate before evaluating")
+    out = simnet.forward(model, dataset.field_matrix(indices)).output_field
+    bounds = (dataset.scenario.r_min_m, dataset.scenario.r_max_m)
+    range_est, azimuth_est, _ = simnet.readout(out, model.readout_scale, bounds)
+    return score_estimates(dataset, indices, range_est, azimuth_est)
 
 
 def train(

@@ -2,11 +2,16 @@
 
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from emstack import cli, nonlin, simnet, trainer
+import emstack
+from emstack import baselines, cli, nonlin, simnet, trainer
 
 
 TINY = """
@@ -77,6 +82,7 @@ class TestConfig:
             "[model]\ntable_points = 100\n",
             "[curves]\nbias_shift_volts = -0.1\n",
             "[experiment]\nsweep = sideways\n",
+            "[scenario]\nnum_output_antennas = 3\n",  # the readout needs two amplitudes
         ]
         for text in bad:
             with pytest.raises(cli.ConfigError):
@@ -278,6 +284,19 @@ class TestCheckVerb:
     def test_exit_code(self):
         assert cli.main(["check"]) == 0
 
+    def test_module_run_raises_no_runtime_warning(self):
+        # importing the package must not pre-import emstack.cli, or runpy warns
+        paths = [str(Path(emstack.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "emstack.cli", "check"],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.count("PASS") == 6
+
 
 class TestMlBaselineVerb:
     def test_records_and_summary(self, tmp_path):
@@ -295,6 +314,10 @@ class TestMlBaselineVerb:
         rmse = float(summary[0][1])
         errors = np.array([float(r[4]) for r in recs])
         np.testing.assert_allclose(rmse, np.sqrt(np.mean(errors ** 2)), rtol=1e-12)
+
+    def test_coarse_steering_released(self, tmp_path):
+        cli.run_ml_baseline(cli.load_config(TINY), tmp_path)
+        assert baselines._coarse_steering.cache_info().currsize == 0
 
 
 class TestExitCodes:
@@ -325,3 +348,12 @@ class TestExitCodes:
         cfg_path.write_text("[curves]\nalphas = 33\nsamples = 20\n")
         assert cli.main(["curves", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
         assert "diode solver stalled" in capsys.readouterr().err
+
+    def test_dead_model_exits_2(self, tmp_path, capsys):
+        # knees far above every field amplitude: all training outputs are zero
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(
+            TINY.replace("nl_mode = linear", "nl_mode = trainable\nbias_scale_factor = 1e6")
+        )
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        assert "all training outputs are zero" in capsys.readouterr().err

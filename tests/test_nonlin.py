@@ -431,6 +431,15 @@ class TestSerialization:
         v = np.linspace(0, 0.9, 7)
         np.testing.assert_array_equal(back.value(v), act.value(v))
 
+    def test_unregistered_class_and_unknown_kind_rejected(self):
+        class Unregistered(nonlin.FittedRelu):
+            pass
+
+        with pytest.raises(TypeError):
+            nonlin.activation_to_dict(Unregistered(gain=0.5))
+        with pytest.raises(ValueError, match="unknown activation kind"):
+            nonlin.activation_from_dict({"kind": "warp", "gain": 0.5})
+
     def test_legacy_single_curve_loads_as_one_row_table(self):
         grid = np.linspace(0, 1, 8)
         values = np.linspace(0, 0.5, 8)

@@ -340,6 +340,76 @@ class TestCouplingOperator:
         assert not op.spectrum.flags.writeable
 
 
+# phase-preserving activations with scalar parameters, so any cell count fits
+EQUIVARIANT_ACTIVATIONS = [
+    nonlin.ScaledLinear(0.7),
+    nonlin.ZeroActivation(),
+    nonlin.ConstantAmplitude(4 / np.pi),
+    nonlin.PowerLowpass(3, 0.75),
+    nonlin.ShiftedReluLowpass(shift=-0.01, gain=1.1),
+    nonlin.FittedRelu(gain=0.5, knee=0.005),
+    nonlin.TabulatedActivationSet(
+        np.linspace(0.0, 0.1, 9), np.sqrt(np.linspace(0.0, 0.05, 9))[None, :]
+    ),
+]
+
+# cells per side -> propagation: dense below 28 cells per side, FFT at 28
+_PROPAGATIONS = {}
+
+
+def shared_propagation(n):
+    if n not in _PROPAGATIONS:
+        _PROPAGATIONS[n] = simnet.compute_propagation(spaced_geometry(n, num_layers=3))
+    return _PROPAGATIONS[n]
+
+
+class TestProperties:
+    @pytest.mark.parametrize("n", [4, 28])
+    @pytest.mark.parametrize("act", EQUIVARIANT_ACTIVATIONS, ids=lambda a: type(a).__name__)
+    @settings(max_examples=10, deadline=None)
+    @given(phase=st.floats(0.0, 2.0 * np.pi), seed=st.integers(0, 2 ** 32 - 1))
+    def test_stack_phase_equivariance(self, n, act, phase, seed):
+        propagation = shared_propagation(n)
+        expected = simnet.FftCoupling if n >= 28 else simnet.DenseCoupling
+        assert isinstance(propagation.interlayer, expected)
+        m = n * n
+        rng = np.random.default_rng(seed)
+        biases = -rng.uniform(0.0, 0.01, m) if act.supports_bias else np.zeros(m)
+        layers = [
+            simnet.uniform_phase_layer(m, rng),
+            simnet.NonlinearLayer(act, biases),
+            simnet.uniform_phase_layer(m, rng),
+        ]
+        model = simnet.assemble_model(spaced_geometry(n, num_layers=3), layers, propagation)
+        x = 0.05 * random_field(rng, (2, m))
+        rot = np.exp(1j * phase)
+        out = simnet.forward(model, x).output_field
+        spun = simnet.forward(model, rot * x).output_field
+        assert np.max(np.abs(spun - rot * out)) <= 1e-12 * np.max(np.abs(out))
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        r_min=st.floats(0.1, 5.0),
+        width=st.floats(0.1, 5.0),
+        r_frac=st.floats(0.0, 1.0),
+        theta=st.floats(-np.pi / 2, np.pi / 2),
+        scale=st.floats(1e-3, 1e3),
+        phases=st.tuples(st.floats(0.0, 2.0 * np.pi), st.floats(0.0, 2.0 * np.pi)),
+    )
+    def test_readout_round_trip(self, r_min, width, r_frac, theta, scale, phases):
+        # position inside the bounds -> the two output amplitudes -> readout
+        r_max = r_min + width
+        r = r_min + r_frac * width
+        amplitudes = np.array([(r - r_min) / width, theta / np.pi + 0.5]) / scale
+        y = amplitudes * np.exp(1j * np.array(phases))
+        range_est, azimuth_est, position = simnet.readout(y, scale, (r_min, r_max))
+        assert abs(range_est - r) <= 1e-12
+        assert abs(azimuth_est - theta) <= 1e-12
+        np.testing.assert_allclose(
+            position, [r * np.cos(theta), r * np.sin(theta)], rtol=0, atol=1e-12
+        )
+
+
 class TestAssembly:
     def test_layer_count_mismatch(self):
         geom = make_geometry(num_layers=2)
@@ -643,6 +713,42 @@ class TestFiniteDifference:
             )
 
 
+LOCKED_CHECKPOINT = (
+    '{"format": "emstack-checkpoint-1", "geometry": {"carrier_frequency_hz": 28000000000.0, '
+    '"cells_per_side": 2, "num_layers": 2, "layer_spacing_m": 0.03, "output_distance_m": 0.02, '
+    '"num_output_antennas": 2, "output_spacing_m": 0.005}, "layers": [{"kind": "linear", '
+    '"phases": [0.0, 0.5, 1.0, 1.5], "trainable": true}, {"kind": "nonlinear", '
+    '"activation": ACTIVATION, "biases": [0.0, -0.25, -0.5, -1.0], "trainable": true}], '
+    '"readout_scale": 2.5}'
+)
+
+# kind -> (activation, its locked checkpoint entry)
+LOCKED_ACTIVATIONS = {
+    "scaled_linear": (nonlin.ScaledLinear(gain=0.5), '{"kind": "scaled_linear", "gain": 0.5}'),
+    "zero": (nonlin.ZeroActivation(), '{"kind": "zero"}'),
+    "constant_amplitude": (
+        nonlin.ConstantAmplitude(level=1.25),
+        '{"kind": "constant_amplitude", "level": 1.25}',
+    ),
+    "power": (
+        nonlin.PowerLowpass(exponent=3, coefficient=0.375),
+        '{"kind": "power", "exponent": 3, "coefficient": 0.375}',
+    ),
+    "shifted_relu_lowpass": (
+        nonlin.ShiftedReluLowpass(shift=np.array([0.0, 0.125, -0.125, 0.25]), gain=0.5),
+        '{"kind": "shifted_relu_lowpass", "shift": [0.0, 0.125, -0.125, 0.25], "gain": 0.5}',
+    ),
+    "fitted_relu": (
+        nonlin.FittedRelu(gain=0.5, knee=np.array([0.0, 0.1, 0.2, 0.3])),
+        '{"kind": "fitted_relu", "gain": 0.5, "knee": [0.0, 0.1, 0.2, 0.3]}',
+    ),
+    "tabulated_set": (
+        nonlin.TabulatedActivationSet(np.array([0.0, 0.5, 1.0]), np.array([[0.0, 0.25, 0.75]])),
+        '{"kind": "tabulated_set", "grid": [0.0, 0.5, 1.0], "values": [[0.0, 0.25, 0.75]]}',
+    ),
+}
+
+
 class TestCheckpoint:
     def _model(self, rng):
         geom = make_geometry(cells_per_side=3, num_layers=3)
@@ -740,6 +846,21 @@ class TestCheckpoint:
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
             simnet.model_from_dict({"format": "something-else"})
+
+    @pytest.mark.parametrize("kind", list(LOCKED_ACTIVATIONS))
+    def test_format_is_locked(self, kind):
+        # the emstack-checkpoint-1 text, key order included; an int frequency
+        # and a numpy count are stored as float and int
+        geometry = emfield.build_geometry(28_000_000_000, np.int64(2), 2, 0.03, 0.02, 2, 0.005)
+        layers = [
+            simnet.LinearLayer(np.array([0.0, 0.5, 1.0, 1.5])),
+            simnet.NonlinearLayer(
+                LOCKED_ACTIVATIONS[kind][0], np.array([0.0, -0.25, -0.5, -1.0]), trainable=True
+            ),
+        ]
+        model = simnet.assemble_model(geometry, layers, readout_scale=2.5)
+        want = LOCKED_CHECKPOINT.replace("ACTIVATION", LOCKED_ACTIVATIONS[kind][1])
+        assert json.dumps(simnet.model_to_dict(model)) == want
 
     def test_json_payload_is_stable(self):
         rng = np.random.default_rng(24)
