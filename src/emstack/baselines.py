@@ -78,22 +78,9 @@ def grid_cell_diagonal(grid: SearchGrid) -> float:
     return float(np.hypot(dr, r_max * dth))
 
 
-def steering_rows(geometry: emfield.SimGeometry, r_values, theta_values) -> np.ndarray:
-    """Steering vectors for paired (r, theta) lists, one per row.
-
-    Matches :func:`emfield.array_response` entry for entry; vectorized
-    so the grid search does not pay per-point Python overhead.
-    """
-    r = np.asarray(r_values, dtype=float)
-    th = np.asarray(theta_values, dtype=float)
-    cells = geometry.cell_positions[0]
-    # per-axis differences; the source sits at y = 0
-    dx = cells[None, :, 0] - (r * np.sin(th))[:, None]
-    dy = cells[None, :, 1]
-    dz = cells[None, :, 2] + (r * np.cos(th))[:, None]
-    dist = np.sqrt(dx * dx + dy * dy + dz * dz)
-    k = geometry.wavenumber
-    return np.exp(-1j * k * (r[:, None] - dist)) / np.sqrt(geometry.num_cells)
+# The matched filter calls the steering formula through this module
+# global, so a wrapper set on ``baselines.steering_rows`` sees every row.
+steering_rows = emfield.steering_rows
 
 
 _BLOCK_ROWS = 1024  # steering rows built per block
@@ -205,8 +192,6 @@ def ml_estimate_two_stage(
     matrix is kept, and it is read-only.  The refinement stage and
     :func:`ml_estimate` build their steering rows on every call.
     """
-    if coarse_size < 2 or refine_size < 2:
-        raise ValueError("grid sizes must be >= 2")
     s = _field_vector(input_field, geometry)
     r_lo, r_hi = float(r_bounds[0]), float(r_bounds[1])
     th_max = float(theta_max_rad)

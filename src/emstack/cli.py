@@ -27,10 +27,11 @@ from __future__ import annotations
 import argparse
 import collections
 import configparser
+import dataclasses
 import hashlib
 import itertools
+import math
 import sys
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -61,55 +62,81 @@ def _parse_int_list(text: str):
     return values
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
+
+
 def _parse_float_list(text: str):
     try:
-        return [float(tok) for tok in text.replace(",", " ").split()]
+        return [_finite_float(tok) for tok in text.replace(",", " ").split()]
     except ValueError as exc:
-        raise ConfigError(f"expected a list of numbers, got {text!r}") from exc
+        raise ConfigError(f"expected a list of finite numbers, got {text!r}") from exc
 
+
+def _choice(options):
+    def parse(text: str) -> str:
+        if text not in options:
+            raise ValueError(f"must be one of {tuple(options)}")
+        return text
+
+    return parse
+
+
+_NL_MODES = ("trainable", "static-random", "linear")
+
+# experiment.sweep kind -> (records.csv of the last seed, a matched-filter
+# row after each depth, results.svg x label and title or None)
+_SWEEP_OUTPUTS = {
+    "none": (True, True, None),
+    "nl-layer-index": (False, False, ("nonlinear layer position", "placement sweep")),
+    "depth-L": (False, True, ("number of layers", "depth sweep")),
+}
 
 # section -> key -> (parser, default as text)
 _SCHEMA = {
     "scenario": {
-        "carrier_frequency_hz": (float, "28e9"),
+        "carrier_frequency_hz": (_finite_float, "28e9"),
         "cells_per_side": (int, "8"),
         "num_layers": (int, "4"),
-        "layer_spacing_wavelengths": (float, "3.0"),
-        "output_distance_wavelengths": (float, "3.0"),
+        "layer_spacing_wavelengths": (_finite_float, "3.0"),
+        "output_distance_wavelengths": (_finite_float, "3.0"),
         "num_output_antennas": (int, "2"),
-        "r_min_m": (float, "1.0"),
-        "r_max_m": (float, "3.0"),
-        "theta_max_deg": (float, "70.0"),
-        "rician_factor_db": (float, "20.0"),
-        "transmit_power_dbm": (float, "30.0"),
-        "noise_power_dbm": (float, "-110.0"),
+        "r_min_m": (_finite_float, "1.0"),
+        "r_max_m": (_finite_float, "3.0"),
+        "theta_max_deg": (_finite_float, "70.0"),
+        "rician_factor_db": (_finite_float, "20.0"),
+        "transmit_power_dbm": (_finite_float, "30.0"),
+        "noise_power_dbm": (_finite_float, "-110.0"),
     },
     "model": {
-        "nl_mode": (str, "trainable"),
+        "nl_mode": (_choice(_NL_MODES), "trainable"),
         "nl_layer_index": (str, "last"),
-        "activation": (str, "relu-fit"),
-        "activation_gain": (float, "0.5"),
-        "bias_scale_factor": (float, "3.0"),
-        "alpha_min": (float, "55.0"),
-        "alpha_max": (float, "57.0"),
+        "activation": (_choice(("relu-fit", "smooth", "diode-table")), "relu-fit"),
+        "activation_gain": (_finite_float, "0.5"),
+        "bias_scale_factor": (_finite_float, "3.0"),
+        "alpha_min": (_finite_float, "55.0"),
+        "alpha_max": (_finite_float, "57.0"),
         "table_points": (int, "2048"),
     },
     "training": {
         "num_samples": (int, "2000"),
-        "learning_rate": (float, "1e-2"),
-        "bias_learning_rate": (float, "1e-9"),
-        "beta1": (float, "0.9"),
-        "beta2": (float, "0.999"),
-        "epsilon": (float, "1e-8"),
+        "learning_rate": (_finite_float, "1e-2"),
+        "bias_learning_rate": (_finite_float, "1e-9"),
+        "beta1": (_finite_float, "0.9"),
+        "beta2": (_finite_float, "0.999"),
+        "epsilon": (_finite_float, "1e-8"),
         "batch_size": (int, "64"),
         "epochs": (int, "50"),
         "patience": (int, "0"),
         "seeds": (_parse_int_list, "101, 202, 303"),
     },
     "experiment": {
-        "sweep": (str, "none"),
+        "sweep": (_choice(_SWEEP_OUTPUTS), "none"),
         "depth_values": (_parse_int_list, "2, 4, 6"),
-        "ml_mode": (str, "two-stage"),
+        "ml_mode": (_choice(("two-stage", "exhaustive")), "two-stage"),
         "ml_coarse": (int, "100"),
         "ml_refine": (int, "21"),
         "ml_exhaustive_points": (int, "1000"),
@@ -117,18 +144,14 @@ _SCHEMA = {
     },
     "curves": {
         "alphas": (_parse_float_list, "18, 33, 56"),
-        "bias_shift_volts": (float, "0.4"),
-        "v_max": (float, "1.0"),
+        "bias_shift_volts": (_finite_float, "0.4"),
+        "v_max": (_finite_float, "1.0"),
         "samples": (int, "200"),
     },
 }
 
-_NL_MODES = ("trainable", "static-random", "linear")
-_ACTIVATIONS = ("relu-fit", "smooth", "diode-table")
-_ML_MODES = ("two-stage", "exhaustive")
 
-
-@dataclass
+@dataclasses.dataclass
 class ExperimentConfig:
     """Parsed and validated settings; ``values[section][key]`` holds the
     typed entries, ``hash_id`` names the output directory."""
@@ -179,7 +202,7 @@ def load_config(text: str = "", overrides: dict | None = None) -> ExperimentConf
                 typed[section][key] = cast(raw[section][key])
             except (TypeError, ValueError) as exc:
                 raise ConfigError(
-                    f"bad value for {section}.{key}: {raw[section][key]!r}"
+                    f"bad value for {section}.{key}: {raw[section][key]!r} ({exc})"
                 ) from exc
 
     _validate(typed)
@@ -202,15 +225,9 @@ def canonical_text(values: dict) -> str:
 
 
 def _validate(cfg: dict) -> None:
+    """The rules the CLI owns; every other range is checked by building
+    the geometry, scenario, search grids and training settings."""
     sc, mo, tr, ex, cu = (cfg[k] for k in ("scenario", "model", "training", "experiment", "curves"))
-    if mo["nl_mode"] not in _NL_MODES:
-        raise ConfigError(f"nl_mode must be one of {_NL_MODES}")
-    if mo["activation"] not in _ACTIVATIONS:
-        raise ConfigError(f"activation must be one of {_ACTIVATIONS}")
-    if ex["sweep"] not in _SWEEP_OUTPUTS:
-        raise ConfigError(f"sweep must be one of {tuple(_SWEEP_OUTPUTS)}")
-    if ex["ml_mode"] not in _ML_MODES:
-        raise ConfigError(f"ml_mode must be one of {_ML_MODES}")
     if mo["nl_layer_index"] != "last":
         try:
             idx = int(mo["nl_layer_index"])
@@ -218,26 +235,14 @@ def _validate(cfg: dict) -> None:
             raise ConfigError("nl_layer_index must be an integer or 'last'") from exc
         if not 1 <= idx <= sc["num_layers"]:
             raise ConfigError("nl_layer_index outside 1..num_layers")
-    if sc["cells_per_side"] < 1 or sc["num_layers"] < 1:
-        raise ConfigError("cells_per_side and num_layers must be >= 1")
     if sc["num_output_antennas"] != 2:
         raise ConfigError("num_output_antennas must be 2: the readout maps two amplitudes")
-    if not 0 < sc["r_min_m"] < sc["r_max_m"]:
-        raise ConfigError("need 0 < r_min_m < r_max_m")
-    if not 0 < sc["theta_max_deg"] <= 70.0:
-        raise ConfigError("theta_max_deg must be in (0, 70]")
     if mo["alpha_min"] > mo["alpha_max"] or mo["alpha_min"] <= 0:
         raise ConfigError("need 0 < alpha_min <= alpha_max")
     if mo["bias_scale_factor"] < 0 or mo["activation_gain"] <= 0:
         raise ConfigError("bias_scale_factor must be >= 0 and activation_gain > 0")
     if tr["num_samples"] < 10:
         raise ConfigError("num_samples must be >= 10")
-    if not tr["seeds"]:
-        raise ConfigError("at least one training seed required")
-    if min(ex["depth_values"]) < 1:
-        raise ConfigError("depth_values must be >= 1")
-    if ex["ml_coarse"] < 2 or ex["ml_refine"] < 2 or ex["ml_exhaustive_points"] < 2:
-        raise ConfigError("grid sizes must be >= 2")
     if cu["v_max"] <= 0 or cu["samples"] < 2:
         raise ConfigError("curves need v_max > 0 and samples >= 2")
     if cu["bias_shift_volts"] < 0:
@@ -249,26 +254,25 @@ def _validate(cfg: dict) -> None:
             "diode-table curves have a frozen operating point; "
             "use nl_mode = static-random or a bias-capable activation"
         )
-    # TrainConfig re-validates rates and sizes
-    _train_config(cfg)
+    try:
+        for depth in (sc["num_layers"], *ex["depth_values"]):
+            build_geometry(cfg, depth)
+        scenario = build_scenario(cfg)
+        for n in (ex["ml_coarse"], ex["ml_refine"], ex["ml_exhaustive_points"]):
+            baselines.make_search_grid(
+                (scenario.r_min_m, scenario.r_max_m), scenario.theta_max_rad, n, n
+            )
+        _train_config(cfg)
+    except OverflowError as exc:  # a dB or dBm level beyond float range
+        raise ConfigError(f"power level out of range: {exc.args[-1]}") from exc
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _train_config(cfg: dict, seed: int = 0) -> trainer.TrainConfig:
-    t = cfg["training"]
-    try:
-        return trainer.TrainConfig(
-            learning_rate=t["learning_rate"],
-            bias_learning_rate=t["bias_learning_rate"],
-            beta1=t["beta1"],
-            beta2=t["beta2"],
-            epsilon=t["epsilon"],
-            batch_size=t["batch_size"],
-            epochs=t["epochs"],
-            patience=t["patience"],
-            seed=seed,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    names = {f.name for f in dataclasses.fields(trainer.TrainConfig)}
+    settings = {k: v for k, v in cfg["training"].items() if k in names}
+    return trainer.TrainConfig(**settings, seed=seed)
 
 
 def load_preset(name: str) -> str:
@@ -399,8 +403,8 @@ def build_model(
 
 def _matched_filter(cfg: ExperimentConfig, geometry, dataset) -> trainer.EvalResult:
     """Matched-filter grid search over the test split, per ``ml_mode``."""
-    ex, sc = cfg["experiment"], cfg["scenario"]
-    bounds, theta_max = (sc["r_min_m"], sc["r_max_m"]), np.deg2rad(sc["theta_max_deg"])
+    ex, sc = cfg["experiment"], dataset.scenario
+    bounds, theta_max = (sc.r_min_m, sc.r_max_m), sc.theta_max_rad
     if ex["ml_mode"] == "exhaustive":
         n = ex["ml_exhaustive_points"]
         grid = baselines.make_search_grid(bounds, theta_max, n, n)
@@ -553,15 +557,6 @@ def sweep_points(cfg: ExperimentConfig) -> list:
     return [SweepPoint(d, d, d, variant) for d in depths for variant in _NL_MODES]
 
 
-# experiment.sweep kind -> (records.csv of the last seed, a matched-filter
-# row after each depth, results.svg x label and title or None)
-_SWEEP_OUTPUTS = {
-    "none": (True, True, None),
-    "nl-layer-index": (False, False, ("nonlinear layer position", "placement sweep")),
-    "depth-L": (False, True, ("number of layers", "depth sweep")),
-}
-
-
 def _run_point(cfg, point, geometry, propagation, dataset, out_dir, emit):
     """Train and test ``point`` once per seed, writing its histories and
     checkpoints and emitting its results rows; returns the mean test
@@ -585,7 +580,8 @@ def _run_point(cfg, point, geometry, propagation, dataset, out_dir, emit):
         emit(sweep, point.value, point.variant, seed, test.rmse)
         name = f"{point.value}-{point.variant}-{seed}"
         history = out_dir / f"history-{name}.csv"
-        _write_csv(history, cfg, ["epoch", "train_loss", "val_rmse"], trainer.history_rows(result))
+        columns = [f.name for f in dataclasses.fields(trainer.EpochRecord)]
+        _write_csv(history, cfg, columns, map(dataclasses.astuple, result.history))
         simnet.save_checkpoint(
             out_dir / "models" / f"{name}.json",
             result.best_model,

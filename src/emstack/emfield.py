@@ -189,13 +189,18 @@ def diffraction_kernel(distance, cos_incidence, wavelength: float, cell_area: fl
     ------
     ValueError
         If any distance is not strictly positive.
+    FloatingPointError
+        If any coefficient is not finite (a degenerate geometry).
     """
     d = np.asarray(distance, dtype=float)
     if np.any(d <= 0.0):
         raise ValueError("diffraction kernel requires strictly positive distances")
     k = 2.0 * np.pi / wavelength
     amplitude = cell_area * np.asarray(cos_incidence) / d
-    return amplitude * (1.0 / (2.0 * np.pi * d) - 1j / wavelength) * np.exp(1j * k * d)
+    kernel = amplitude * (1.0 / (2.0 * np.pi * d) - 1j / wavelength) * np.exp(1j * k * d)
+    if not np.all(np.isfinite(kernel)):
+        raise FloatingPointError("non-finite propagation entry (degenerate geometry)")
+    return kernel
 
 
 def rayleigh_sommerfeld_matrix(
@@ -225,8 +230,6 @@ def rayleigh_sommerfeld_matrix(
     dist = np.sqrt(np.sum(diff ** 2, axis=-1))
     cos_chi = diff[:, :, 2] / dist
     entries = diffraction_kernel(dist, cos_chi, geometry.wavelength_m, geometry.cell_area_m2)
-    if not np.all(np.isfinite(entries)):
-        raise FloatingPointError("non-finite propagation entry (degenerate geometry)")
     entries.setflags(write=False)
     return PropagationMatrix(entries=entries, source_layer=source_layer, dest_layer=dest_layer)
 
@@ -246,10 +249,7 @@ def interlayer_offset_kernel(geometry: SimGeometry) -> np.ndarray:
     dx, dy = np.meshgrid(offsets, offsets, indexing="xy")
     dz = geometry.layer_spacing_m
     dist = np.sqrt(dx ** 2 + dy ** 2 + dz ** 2)
-    kernel = diffraction_kernel(dist, dz / dist, geometry.wavelength_m, geometry.cell_area_m2)
-    if not np.all(np.isfinite(kernel)):
-        raise FloatingPointError("non-finite propagation entry (degenerate geometry)")
-    return kernel
+    return diffraction_kernel(dist, dz / dist, geometry.wavelength_m, geometry.cell_area_m2)
 
 
 # ---------------------------------------------------------------------------
@@ -270,30 +270,38 @@ class UePosition:
         if not abs(self.azimuth_rad) < np.pi / 2:
             raise ValueError("azimuth must lie strictly inside +-90 degrees")
 
-    def cartesian(self) -> np.ndarray:
-        """3-D coordinates (r sin(theta), 0, -r cos(theta))."""
-        r, th = self.range_m, self.azimuth_rad
-        return np.array([r * np.sin(th), 0.0, -r * np.cos(th)])
-
     def plane_xy(self) -> np.ndarray:
         """2-D position (r cos(theta), r sin(theta)) used by the loss."""
         r, th = self.range_m, self.azimuth_rad
         return np.array([r * np.cos(th), r * np.sin(th)])
 
 
-def array_response(geometry: SimGeometry, position: UePosition) -> np.ndarray:
-    """Near-field steering vector of the first layer for a point source.
+def steering_rows(geometry: SimGeometry, r_values, theta_values) -> np.ndarray:
+    """Near-field steering vectors of the first layer for point sources
+    at paired (r, theta) lists, one row per source.
 
-    Entry m is exp(-j k (r - r_m)) / sqrt(M) with r the distance from
-    the source to the layer center and r_m the distance to cell m.  The
-    result has unit Euclidean norm by construction.
+    Entry m of a row is exp(-j k (r - r_m)) / sqrt(M) with r the
+    distance from the source to the layer center and r_m the distance
+    to cell m, so every row has unit Euclidean norm by construction.
+    Vectorized so the grid search does not pay per-point Python
+    overhead.
     """
+    r = np.asarray(r_values, dtype=float)
+    th = np.asarray(theta_values, dtype=float)
     cells = geometry.cell_positions[0]
-    p = position.cartesian()
-    r_m = np.sqrt(np.sum((cells - p) ** 2, axis=1))
+    # per-axis differences to the source at (r sin(theta), 0, -r cos(theta))
+    dx = cells[None, :, 0] - (r * np.sin(th))[:, None]
+    dy = cells[None, :, 1]
+    dz = cells[None, :, 2] + (r * np.cos(th))[:, None]
+    dist = np.sqrt(dx * dx + dy * dy + dz * dz)
     k = geometry.wavenumber
-    m = geometry.num_cells
-    return np.exp(-1j * k * (position.range_m - r_m)) / np.sqrt(m)
+    return np.exp(-1j * k * (r[:, None] - dist)) / np.sqrt(geometry.num_cells)
+
+
+def array_response(geometry: SimGeometry, position: UePosition) -> np.ndarray:
+    """Steering vector of one point source: the one-row case of
+    :func:`steering_rows`."""
+    return steering_rows(geometry, [position.range_m], [position.azimuth_rad])[0]
 
 
 def path_loss(geometry: SimGeometry, position: UePosition) -> float:

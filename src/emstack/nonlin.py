@@ -89,17 +89,6 @@ class BandpassNL:
         raise ValueError(f"{type(self).__name__} has no closed-form envelope map")
 
 
-class Relu(BandpassNL):
-    def __call__(self, v):
-        return np.maximum(v, 0.0)
-
-    def phase_breakpoints(self, amplitude):
-        return (np.pi / 2.0,) if amplitude > 0 else ()
-
-    def closed_form(self):
-        return ShiftedReluLowpass(shift=0.0)
-
-
 class ShiftedRelu(BandpassNL):
     """F[v] = max(v + a, 0) for a real threshold offset a."""
 
@@ -116,6 +105,13 @@ class ShiftedRelu(BandpassNL):
 
     def closed_form(self):
         return ShiftedReluLowpass(shift=self.a)
+
+
+class Relu(ShiftedRelu):
+    """F[v] = max(v, 0): the threshold offset a = 0."""
+
+    def __init__(self):
+        super().__init__(0.0)
 
 
 class AbsoluteValue(BandpassNL):

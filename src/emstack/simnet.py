@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 import scipy.fft
@@ -177,14 +177,11 @@ class SimModel:
         )
 
     def clone(self) -> "SimModel":
+        """Copies of the layers' arrays; activations are shared."""
         copies = []
         for layer in self.layers:
-            if isinstance(layer, LinearLayer):
-                copies.append(LinearLayer(layer.phases.copy(), layer.trainable))
-            else:
-                copies.append(
-                    NonlinearLayer(layer.activation, layer.biases.copy(), layer.trainable)
-                )
+            arrays = {k: v.copy() for k, v in vars(layer).items() if isinstance(v, np.ndarray)}
+            copies.append(replace(layer, **arrays))
         return SimModel(self.geometry, copies, self.propagation, self.readout_scale)
 
 
@@ -403,30 +400,36 @@ def finite_difference_check(
 # ---------------------------------------------------------------------------
 
 
+# checkpoint layer kind -> layer class; an entry holds the kind, then
+# each of the class's fields in declaration order
+_LAYER_KINDS = {"linear": LinearLayer, "nonlinear": NonlinearLayer}
+
+
+def _layer_to_dict(layer: Layer) -> dict:
+    entry = {"kind": {cls: kind for kind, cls in _LAYER_KINDS.items()}[type(layer)]}
+    for f in fields(layer):
+        value = getattr(layer, f.name)
+        if f.name == "activation":
+            value = nonlin.activation_to_dict(value)
+        entry[f.name] = value.tolist() if isinstance(value, np.ndarray) else value
+    return entry
+
+
+def _layer_from_dict(entry: dict) -> Layer:
+    cls = _LAYER_KINDS.get(entry["kind"])
+    if cls is None:
+        raise ValueError(f"unknown layer kind {entry['kind']!r}")
+    kwargs = {f.name: entry[f.name] for f in fields(cls)}
+    if "activation" in kwargs:
+        kwargs["activation"] = nonlin.activation_from_dict(kwargs["activation"])
+    return cls(**kwargs)
+
+
 def model_to_dict(model: SimModel) -> dict:
-    layers = []
-    for layer in model.layers:
-        if isinstance(layer, LinearLayer):
-            layers.append(
-                {
-                    "kind": "linear",
-                    "phases": layer.phases.tolist(),
-                    "trainable": layer.trainable,
-                }
-            )
-        else:
-            layers.append(
-                {
-                    "kind": "nonlinear",
-                    "activation": nonlin.activation_to_dict(layer.activation),
-                    "biases": layer.biases.tolist(),
-                    "trainable": layer.trainable,
-                }
-            )
     return {
         "format": CHECKPOINT_FORMAT,
         "geometry": model.geometry.parameters(),
-        "layers": layers,
+        "layers": [_layer_to_dict(layer) for layer in model.layers],
         "readout_scale": model.readout_scale,
     }
 
@@ -435,20 +438,7 @@ def model_from_dict(data: dict, propagation: Propagation | None = None) -> SimMo
     if data.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"unrecognized checkpoint format {data.get('format')!r}")
     geometry = emfield.build_geometry(**data["geometry"])
-    layers = []
-    for entry in data["layers"]:
-        if entry["kind"] == "linear":
-            layers.append(LinearLayer(np.array(entry["phases"]), entry["trainable"]))
-        elif entry["kind"] == "nonlinear":
-            layers.append(
-                NonlinearLayer(
-                    activation=nonlin.activation_from_dict(entry["activation"]),
-                    biases=np.array(entry["biases"]),
-                    trainable=entry["trainable"],
-                )
-            )
-        else:
-            raise ValueError(f"unknown layer kind {entry['kind']!r}")
+    layers = [_layer_from_dict(entry) for entry in data["layers"]]
     return assemble_model(geometry, layers, propagation, data.get("readout_scale"))
 
 

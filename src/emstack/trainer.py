@@ -258,7 +258,6 @@ class TrainResult:
     best_epoch: int
     best_val_rmse: float
     history: list
-    stopped_early: bool = False
     diverged: bool = False
 
 
@@ -362,11 +361,6 @@ def train(
         else:
             since_best += 1
             if config.patience > 0 and since_best >= config.patience:
-                best.stopped_early = True
                 break
     return best
 
-
-def history_rows(result: TrainResult):
-    """(epoch, train_loss, val_rmse) tuples for CSV emission."""
-    return [(rec.epoch, rec.train_loss, rec.val_rmse) for rec in result.history]

@@ -124,6 +124,22 @@ class TestSteeringRows:
         rows = baselines.steering_rows(geom, [1.0, 2.0], [0.3, -0.5])
         np.testing.assert_allclose(np.linalg.norm(rows, axis=1), 1.0, atol=1e-12)
 
+    def test_one_formula(self):
+        # the matched filter and the channel share emfield's steering
+        # function; perfbench traces it under the baselines name
+        assert baselines.steering_rows is emfield.steering_rows
+
+    def test_rows_match_hand_computed_definition(self):
+        geom = near_field_geometry(cells_per_side=4)
+        r, th = np.array([1.3, 2.9]), np.array([-0.7, 0.4])
+        rows = baselines.steering_rows(geom, r, th)
+        k = 2 * np.pi / geom.wavelength_m
+        for i in range(2):
+            source = np.array([r[i] * np.sin(th[i]), 0.0, -r[i] * np.cos(th[i])])
+            dist = np.linalg.norm(geom.cell_positions[0] - source, axis=1)
+            want = np.exp(-1j * k * (r[i] - dist)) / 4.0
+            np.testing.assert_allclose(rows[i], want, rtol=1e-12)
+
 
 class TestMlEstimate:
     def test_on_grid_target_recovered_exactly(self):

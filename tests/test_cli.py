@@ -1,5 +1,6 @@
 """Config parsing, experiment runner outputs, and exit codes."""
 
+import dataclasses
 import io
 import math
 import os
@@ -83,6 +84,22 @@ class TestConfig:
             "[curves]\nbias_shift_volts = -0.1\n",
             "[experiment]\nsweep = sideways\n",
             "[scenario]\nnum_output_antennas = 3\n",  # the readout needs two amplitudes
+            # non-finite numbers, and dB levels beyond float range
+            "[scenario]\ntransmit_power_dbm = -inf\n",
+            "[scenario]\nr_max_m = inf\n",
+            "[scenario]\ncarrier_frequency_hz = inf\n",
+            "[scenario]\ntransmit_power_dbm = 1e6\n",
+            "[scenario]\nnoise_power_dbm = 4000\n",
+            "[scenario]\nnoise_power_dbm = nan\n",
+            "[training]\nlearning_rate = nan\n",
+            "[scenario]\nlayer_spacing_wavelengths = nan\n",
+            "[model]\nactivation_gain = inf\n",
+            "[curves]\nalphas = 18, nan\n",
+            # ranges owned by the geometry, the scenario, the search grid and TrainConfig
+            "[experiment]\ndepth_values = 2, 0\n",
+            "[scenario]\ntheta_max_deg = 80\n",
+            "[experiment]\nml_refine = 1\n",
+            "[training]\nbeta2 = 1\n",
         ]
         for text in bad:
             with pytest.raises(cli.ConfigError):
@@ -121,6 +138,24 @@ class TestRunVerb:
         _, recs = read_rows(out / "records.csv")
         assert len(recs) == 10
         assert (out / "config.ini").read_text() == cfg.text
+
+    def test_history_file_matches_train_result(self, tmp_path, monkeypatch):
+        results, real_train = [], trainer.train
+
+        def recording_train(*args):
+            results.append(real_train(*args))
+            return results[-1]
+
+        monkeypatch.setattr(trainer, "train", recording_train)
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(TINY.replace("epochs = 0", "epochs = 3"))
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+        out = tmp_path / "out" / cli.load_config(cfg_path.read_text()).hash_id
+        header, rows = read_rows(out / "history-single-linear-7.csv")
+        assert header == [f.name for f in dataclasses.fields(trainer.EpochRecord)]
+        history = [trainer.EpochRecord(int(row[0]), *map(float, row[1:])) for row in rows]
+        assert len(results) == 1 and len(history) == 3
+        assert history == results[0].history
 
     def test_checkpoint_reloads(self, tmp_path):
         cfg_path = tmp_path / "cfg.ini"
@@ -331,6 +366,17 @@ class TestExitCodes:
 
     def test_unknown_preset(self):
         assert cli.main(["run", "--preset", "galactic"]) == 1
+
+    def test_bad_number_exits_1_without_traceback(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.ini"
+        for line in ("noise_power_dbm = 4000", "transmit_power_dbm = -inf"):
+            cfg_path.write_text(TINY.replace("num_layers = 2", f"num_layers = 2\n{line}"))
+            args = ["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+            assert cli.main(args) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("config error:")
+            assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_infinite_loss_exits_2(self, tmp_path, monkeypatch):
         monkeypatch.setattr(

@@ -847,6 +847,12 @@ class TestCheckpoint:
         with pytest.raises(ValueError):
             simnet.model_from_dict({"format": "something-else"})
 
+    def test_unknown_layer_kind_rejected(self):
+        data = simnet.model_to_dict(self._model(np.random.default_rng(25)))
+        data["layers"][1]["kind"] = "quantum"
+        with pytest.raises(ValueError, match="unknown layer kind 'quantum'"):
+            simnet.model_from_dict(data)
+
     @pytest.mark.parametrize("kind", list(LOCKED_ACTIVATIONS))
     def test_format_is_locked(self, kind):
         # the emstack-checkpoint-1 text, key order included; an int frequency

@@ -374,15 +374,6 @@ class TestTrainLoop:
         with pytest.raises(ValueError):
             trainer.evaluate(model, ds, ds.split.test)
 
-    def test_history_rows(self):
-        result = trainer.TrainResult(
-            best_model=None,
-            best_epoch=1,
-            best_val_rmse=0.5,
-            history=[trainer.EpochRecord(1, 0.25, 0.5)],
-        )
-        assert trainer.history_rows(result) == [(1, 0.25, 0.5)]
-
 
 def trainer_bias_init(count, rng):
     from emstack import nonlin
