@@ -256,8 +256,10 @@ def _validate(cfg: dict) -> None:
         )
     try:
         for depth in (sc["num_layers"], *ex["depth_values"]):
-            build_geometry(cfg, depth)
+            geometry = build_geometry(cfg, depth)
         scenario = build_scenario(cfg)
+        # the loss grows with range, so the farthest draw bounds it
+        emfield.path_loss(geometry, emfield.UePosition(scenario.r_max_m, 0.0))
         for n in (ex["ml_coarse"], ex["ml_refine"], ex["ml_exhaustive_points"]):
             baselines.make_search_grid(
                 (scenario.r_min_m, scenario.r_max_m), scenario.theta_max_rad, n, n
@@ -394,8 +396,8 @@ def build_model(
 
     nl_layer = model.layers[nl_position - 1]
     if nl_layer.activation.supports_bias:
-        trace = simnet.forward(model, dataset.field_matrix(dataset.split.train))
-        median_amp = float(np.median(np.abs(trace.pre_activation[nl_position - 1])))
+        amp = simnet.amplitudes(model, dataset.fields, dataset.split.train, nl_position)
+        median_amp = float(np.median(amp, overwrite_input=True))
         scale = mo["bias_scale_factor"] * median_amp
         nl_layer.biases = nonlin.sample_trainable_bias_init(m, rng, scale)
     return model

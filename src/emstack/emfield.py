@@ -21,6 +21,8 @@ import numpy as np
 
 SPEED_OF_LIGHT = 299_792_458.0
 
+_TINY = float(np.finfo(float).tiny)  # smallest normal float
+
 
 def dbm_to_watts(dbm: float) -> float:
     """Convert a power level in dBm to watts."""
@@ -69,7 +71,8 @@ class SimGeometry:
     Raises
     ------
     ValueError
-        If the frequency, a distance, or a count is not positive.
+        If the frequency, a distance, or a count is not positive, or a
+        length (cell pitch, spacing, distance) squares beyond float range.
     """
 
     carrier_frequency_hz: float
@@ -98,6 +101,12 @@ class SimGeometry:
         object.__setattr__(self, "wavelength_m", SPEED_OF_LIGHT / self.carrier_frequency_hz)
         if self.output_spacing_m is None:
             object.__setattr__(self, "output_spacing_m", self.cell_pitch_m)
+        # distances are square roots of summed squares, and the cell area
+        # is a squared length, so every length must square to a normal float
+        for name in ("cell_pitch_m", "layer_spacing_m", "output_distance_m", "output_spacing_m"):
+            length = getattr(self, name)
+            if not _TINY <= length * length < np.inf:
+                raise ValueError(f"{name} = {length!r} m squares beyond float range")
 
         n = self.cells_per_side
         axis = (np.arange(n) - (n - 1) / 2.0) * self.cell_pitch_m
@@ -305,8 +314,19 @@ def array_response(geometry: SimGeometry, position: UePosition) -> np.ndarray:
 
 
 def path_loss(geometry: SimGeometry, position: UePosition) -> float:
-    """Free-space power path loss (4 pi r / lambda)^2."""
-    return (4.0 * np.pi * position.range_m / geometry.wavelength_m) ** 2
+    """Free-space power path loss (4 pi r / lambda)^2.
+
+    Raises
+    ------
+    ValueError
+        If the loss exceeds the float range (r / lambda above ~1e153).
+    """
+    try:
+        return (4.0 * np.pi * float(position.range_m) / geometry.wavelength_m) ** 2
+    except OverflowError as exc:
+        raise ValueError(
+            f"path loss at {position.range_m!r} m beyond float range at this wavelength"
+        ) from exc
 
 
 def rician_channel(

@@ -16,6 +16,7 @@ real gradients via Re[conj(c) dz/dparam].
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 from dataclasses import dataclass, field, fields, replace
@@ -231,40 +232,81 @@ class ForwardTrace:
     output_field: np.ndarray | None = None
 
 
-def forward(model: SimModel, input_field) -> ForwardTrace:
-    """Run the field recursion; accepts (..., M) batches."""
-    x = np.asarray(input_field, dtype=complex)
+def _layer_fields(model: SimModel, x: np.ndarray):
+    """Yield each layer's pre-activation in order, then the output field."""
     m = model.geometry.num_cells
     if x.shape[-1] != m:
         raise ValueError(f"input trailing axis {x.shape[-1]} != cell count {m}")
-    trace = ForwardTrace()
     for i, layer in enumerate(model.layers):
         # coupling into layer i+1; the first layer sees the input directly
         z = x if i == 0 else model.propagation.interlayer.apply(x)
-        trace.pre_activation.append(z)
+        yield z
         if isinstance(layer, LinearLayer):
             x = np.exp(1j * layer.phases) * z
         else:
             x = layer.activation.apply(z, layer.biases)
-    trace.output_field = x @ model.propagation.output.T
-    return trace
+    yield x @ model.propagation.output.T
+
+
+def forward(model: SimModel, input_field) -> ForwardTrace:
+    """Run the field recursion; accepts (..., M) batches."""
+    x = np.asarray(input_field, dtype=complex)
+    *pre_activation, output_field = _layer_fields(model, x)
+    return ForwardTrace(pre_activation, output_field)
+
+
+# Rows per block of :func:`amplitudes`; the default training batch, so a
+# whole-split pass holds no more than one training step does.
+_BLOCK_ROWS = 64
+
+
+def amplitudes(model: SimModel, fields: np.ndarray, rows, layer: int | None = None) -> np.ndarray:
+    """|output field| of ``fields[rows]``, or |pre-activation| at the
+    1-based ``layer``, as a (len(rows), width) float array.
+
+    Runs the recursion in ``_BLOCK_ROWS``-row blocks indexed from
+    ``fields`` itself, keeps no trace and stops at ``layer``; each row
+    equals the traced :func:`forward` of that row bit for bit.
+    """
+    if layer is None:
+        stage, width = model.num_layers, model.propagation.output.shape[0]
+    elif 1 <= layer <= model.num_layers:
+        stage, width = layer - 1, model.geometry.num_cells
+    else:
+        raise ValueError(f"layer {layer} outside 1..{model.num_layers}")
+    rows = np.asarray(rows)
+    out = np.empty((rows.size, width))
+    start = 0
+    while start < rows.size:
+        stop = start + _BLOCK_ROWS
+        if stop == rows.size - 1:
+            # numpy multiplies a lone row by matrix-vector products, which
+            # round differently from the matrix-matrix products of a batch
+            stop += 1
+        block = np.asarray(fields[rows[start:stop]], dtype=complex)
+        z = next(itertools.islice(_layer_fields(model, block), stage, None))
+        np.abs(z, out=out[start:stop])
+        start = stop
+    return out
 
 
 def readout(output_field, scale: float, r_bounds) -> tuple:
     """Map the two output amplitudes to (range, azimuth, xy position).
 
     range = r_min + scale |y_1| (r_max - r_min);
-    azimuth = (2 scale |y_2| - 1) pi/2.  Estimates are not clamped;
-    out-of-range values are the loss's problem, not the readout's.
+    azimuth = (2 scale |y_2| - 1) pi/2.  ``output_field`` is the complex
+    field or its magnitudes (:func:`amplitudes`).  Estimates are not
+    clamped; out-of-range values are the loss's problem, not the
+    readout's.
     """
-    y = np.asarray(output_field, dtype=complex)
-    if y.shape[-1] != 2:
+    amp = np.abs(output_field)
+    if amp.shape[-1] != 2:
         raise ValueError("readout requires exactly 2 output antennas")
     if not scale > 0:
         raise ValueError("readout scale must be positive")
     r_min, r_max = float(r_bounds[0]), float(r_bounds[1])
-    range_est = r_min + scale * np.abs(y[..., 0]) * (r_max - r_min)
-    azimuth_est = (2.0 * scale * np.abs(y[..., 1]) - 1.0) * (np.pi / 2.0)
+    range_est = r_min + scale * amp[..., 0] * (r_max - r_min)
+    azimuth_est = (2.0 * scale * amp[..., 1] - 1.0) * (np.pi / 2.0)
     position = np.stack(
         [range_est * np.cos(azimuth_est), range_est * np.sin(azimuth_est)], axis=-1
     )

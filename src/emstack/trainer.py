@@ -203,9 +203,8 @@ def calibrate_readout_scale(
     maximum output amplitude over the training split, evaluated with
     the model as-is.
     """
-    fields = dataset.field_matrix(dataset.split.train)
-    out = simnet.forward(model, fields).output_field
-    peak = np.quantile(np.max(np.abs(out), axis=-1), quantile)
+    amp = simnet.amplitudes(model, dataset.fields, dataset.split.train)
+    peak = np.quantile(np.max(amp, axis=-1), quantile)
     if not peak > 0:
         raise ValueError("all training outputs are zero; cannot calibrate readout")
     scale = float(1.0 / peak)
@@ -296,9 +295,9 @@ def evaluate(model: simnet.SimModel, dataset: Dataset, indices) -> EvalResult:
     """:func:`score_estimates` of the model's readout over a split."""
     if model.readout_scale is None:
         raise ValueError("model has no readout scale; calibrate before evaluating")
-    out = simnet.forward(model, dataset.field_matrix(indices)).output_field
+    amp = simnet.amplitudes(model, dataset.fields, indices)
     bounds = (dataset.scenario.r_min_m, dataset.scenario.r_max_m)
-    range_est, azimuth_est, _ = simnet.readout(out, model.readout_scale, bounds)
+    range_est, azimuth_est, _ = simnet.readout(amp, model.readout_scale, bounds)
     return score_estimates(dataset, indices, range_est, azimuth_est)
 
 

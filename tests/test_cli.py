@@ -100,6 +100,10 @@ class TestConfig:
             "[scenario]\ntheta_max_deg = 80\n",
             "[experiment]\nml_refine = 1\n",
             "[training]\nbeta2 = 1\n",
+            # finite numbers whose squared lengths or path loss leave float range
+            "[scenario]\ncarrier_frequency_hz = 1e300\n",
+            "[scenario]\nlayer_spacing_wavelengths = 1e-300\n",
+            "[scenario]\ncarrier_frequency_hz = 1e162\n",
         ]
         for text in bad:
             with pytest.raises(cli.ConfigError):

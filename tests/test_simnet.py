@@ -2,6 +2,7 @@
 hand-derived gradients, checkpoints."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -408,6 +409,60 @@ class TestProperties:
         np.testing.assert_allclose(
             position, [r * np.cos(theta), r * np.sin(theta)], rtol=0, atol=1e-12
         )
+
+
+def blocked_model(n):
+    """Phase, nonlinear, phase: three layers on the shared propagation."""
+    geom = spaced_geometry(n, num_layers=3)
+    m = geom.num_cells
+    rng = np.random.default_rng(n)
+    layers = [
+        simnet.uniform_phase_layer(m, rng),
+        simnet.NonlinearLayer(nonlin.FittedRelu(gain=0.5), -rng.uniform(0.0, 0.5, m)),
+        simnet.uniform_phase_layer(m, rng),
+    ]
+    return simnet.assemble_model(geom, layers, shared_propagation(n))
+
+
+class TestAmplitudes:
+    @pytest.mark.parametrize("n", [4, 28])
+    def test_matches_traced_forward_bit_for_bit(self, n):
+        model = blocked_model(n)
+        rng = np.random.default_rng(11)
+        fields = random_field(rng, (300, n * n))
+        for count in (1, 63, 64, 65, 129):
+            rows = rng.permutation(300)[:count]  # unsorted
+            trace = simnet.forward(model, fields[rows])
+            got = simnet.amplitudes(model, fields, rows)
+            assert got.shape == (count, 2)
+            assert np.array_equal(got, np.abs(trace.output_field))
+            for k in range(1, model.num_layers + 1):
+                got = simnet.amplitudes(model, fields, rows, layer=k)
+                assert np.array_equal(got, np.abs(trace.pre_activation[k - 1]))
+
+    def test_empty_rows_and_bad_arguments(self):
+        model = blocked_model(4)
+        fields = np.zeros((3, 16), dtype=complex)
+        assert simnet.amplitudes(model, fields, np.array([], dtype=int)).shape == (0, 2)
+        for layer in (0, 4):
+            with pytest.raises(ValueError, match="outside"):
+                simnet.amplitudes(model, fields, [0], layer=layer)
+        with pytest.raises(ValueError, match="cell count"):
+            simnet.amplitudes(model, np.zeros((3, 17), dtype=complex), [0])
+
+    def test_memory_does_not_grow_with_rows(self):
+        model = blocked_model(28)
+        fields = random_field(np.random.default_rng(2), (640, 28 * 28))
+
+        def peak(count):
+            tracemalloc.start()
+            try:
+                simnet.amplitudes(model, fields, np.arange(count))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(640) < 2 * peak(64)
 
 
 class TestAssembly:

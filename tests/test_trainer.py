@@ -369,6 +369,12 @@ class TestTrainLoop:
         # reported RMSE agrees with the per-sample error column
         assert a.rmse == pytest.approx(float(np.sqrt(np.mean(a.records["error_m"] ** 2))))
 
+    def test_evaluate_rejects_empty_split(self):
+        _, model, ds = self._setup(count=100)
+        trainer.calibrate_readout_scale(model, ds)
+        with pytest.raises(ValueError, match="cannot evaluate an empty split"):
+            trainer.evaluate(model, ds, np.array([], dtype=int))
+
     def test_evaluate_requires_calibration(self):
         _, model, ds = self._setup(count=100)
         with pytest.raises(ValueError):
