@@ -260,6 +260,9 @@ def _validate(cfg: dict) -> None:
         scenario = build_scenario(cfg)
         # the loss grows with range, so the farthest draw bounds it
         emfield.path_loss(geometry, emfield.UePosition(scenario.r_max_m, 0.0))
+        # every coupling entry is largest on axis at the shortest gap
+        for gap in (geometry.layer_spacing_m, geometry.output_distance_m):
+            emfield.diffraction_kernel(gap, 1.0, geometry.wavelength_m, geometry.cell_area_m2)
         for n in (ex["ml_coarse"], ex["ml_refine"], ex["ml_exhaustive_points"]):
             baselines.make_search_grid(
                 (scenario.r_min_m, scenario.r_max_m), scenario.theta_max_rad, n, n
@@ -267,7 +270,7 @@ def _validate(cfg: dict) -> None:
         _train_config(cfg)
     except OverflowError as exc:  # a dB or dBm level beyond float range
         raise ConfigError(f"power level out of range: {exc.args[-1]}") from exc
-    except ValueError as exc:
+    except (ValueError, FloatingPointError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -771,6 +774,19 @@ def self_check(seed: int = 0, stream=None) -> bool:
     checks.append(
         ("envelope quadrature vs closed form", relu_err < 1e-7, f"max err {relu_err:.2e}")
     )
+
+    # the fast coupling path against the dense matrix, on a batch that
+    # spans more than one FFT block
+    fft_geom = emfield.build_geometry(28e9, 28, 2, 0.032, 0.032, 2)
+    fft = simnet.FftCoupling.build(fft_geom)
+    dense = emfield.rayleigh_sommerfeld_matrix(fft_geom, 1, 2).entries
+    m = fft_geom.num_cells
+    v = rng.standard_normal((9, m)) + 1j * rng.standard_normal((9, m))
+    fft_err = max(
+        np.max(np.abs(got - want)) / np.max(np.abs(want))
+        for got, want in ((fft.apply(v), v @ dense.T), (fft.adjoint(v), v @ np.conj(dense)))
+    )
+    checks.append(("FFT coupling vs dense", fft_err < 1e-12, f"max rel err {fft_err:.2e}"))
 
     all_ok = True
     for name, ok, detail in checks:

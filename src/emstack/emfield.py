@@ -107,6 +107,14 @@ class SimGeometry:
             length = getattr(self, name)
             if not _TINY <= length * length < np.inf:
                 raise ValueError(f"{name} = {length!r} m squares beyond float range")
+        # the output array sits at depth + distance, and the output
+        # coupling subtracts the depth back out
+        depth = (self.num_layers - 1) * self.layer_spacing_m
+        if not (depth + self.output_distance_m) - depth > 0:
+            raise ValueError(
+                f"output_distance_m = {self.output_distance_m!r} m is lost in the rounding "
+                f"of the stack depth {depth!r} m"
+            )
 
         n = self.cells_per_side
         axis = (np.arange(n) - (n - 1) / 2.0) * self.cell_pitch_m
@@ -205,8 +213,9 @@ def diffraction_kernel(distance, cos_incidence, wavelength: float, cell_area: fl
     if np.any(d <= 0.0):
         raise ValueError("diffraction kernel requires strictly positive distances")
     k = 2.0 * np.pi / wavelength
-    amplitude = cell_area * np.asarray(cos_incidence) / d
-    kernel = amplitude * (1.0 / (2.0 * np.pi * d) - 1j / wavelength) * np.exp(1j * k * d)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        amplitude = cell_area * np.asarray(cos_incidence) / d
+        kernel = amplitude * (1.0 / (2.0 * np.pi * d) - 1j / wavelength) * np.exp(1j * k * d)
     if not np.all(np.isfinite(kernel)):
         raise FloatingPointError("non-finite propagation entry (degenerate geometry)")
     return kernel

@@ -67,9 +67,10 @@ Layer = LinearLayer | NonlinearLayer
 
 
 # Grids with at least this many cells per side couple by FFT.  One apply
-# to a 64-row batch, one BLAS thread, 2-core x86 host, dense vs FFT:
-# 3.5 vs 5.0 ms at 24 cells per side, 6.2 vs 6.1 ms at 28, 12 vs 9.2 ms
-# at 32 and 30 vs 13 ms at 40.
+# to a 64-row batch, one BLAS thread, 2-core x86 host, dense vs FFT,
+# fastest of 60 runs: 1.9 vs 2.6 ms at 20 cells per side, 3.0 vs 2.6 ms
+# at 24 (medians split across runs), 5.4 vs 3.5 ms at 28, 9.2 vs 4.4 ms
+# at 32 and 22 vs 6.2 ms at 40.
 _FFT_MIN_CELLS_PER_SIDE = 28
 
 
@@ -90,6 +91,13 @@ class DenseCoupling:
     def adjoint(self, c: np.ndarray) -> np.ndarray:
         """c @ conj(W), without a conjugated copy of W."""
         return np.conj(np.conj(c) @ self.matrix)
+
+
+# Batch rows per FFT block: one block's padded grid at 40x40 cells is
+# 8 x 80 x 80 complex, 0.8 MB, which stays in a 2 MB per-core L2 cache
+# where a whole 64-row batch (6.5 MB) does not.  Blocks of 4 and 16
+# rows measured alike.
+_FFT_BLOCK_ROWS = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,14 +127,51 @@ class FftCoupling:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """x @ W.T over the trailing cell axis."""
-        n, p = self.cells_per_side, self.spectrum.shape[0]
-        grid = scipy.fft.fft2(x.reshape(-1, n, n), s=(p, p))
-        grid *= self.spectrum
-        return scipy.fft.ifft2(grid, overwrite_x=True)[:, :n, :n].reshape(x.shape)
+        return self._convolve(x, self.spectrum)
 
     def adjoint(self, c: np.ndarray) -> np.ndarray:
-        """c @ conj(W); W is symmetric, so this is conj(conj(c) @ W.T)."""
-        return np.conj(self.apply(np.conj(c)))
+        """c @ conj(W).  The offset kernel is even in both axes, so this
+        is the same convolution with the conjugate spectrum."""
+        return self._convolve(c, np.conj(self.spectrum))
+
+    def _convolve(self, x: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
+        """Pruned row-column convolution in blocks of batch rows.
+
+        Only the n input rows are transformed along x and only the n
+        kept rows are inverse-transformed along x, so each image takes
+        2n + 2P one-dimensional transforms instead of the 4P of a
+        padded 2-D FFT pair.  All transforms run in one padded block
+        buffer.
+        """
+        n, p = self.cells_per_side, spectrum.shape[0]
+        grids = x.reshape(-1, n, n)
+        out = np.empty(grids.shape, dtype=complex)
+        buffer = np.empty((_FFT_BLOCK_ROWS, p, p), dtype=complex)
+        for start in range(0, len(grids), _FFT_BLOCK_ROWS):
+            block = grids[start:start + _FFT_BLOCK_ROWS]
+            grid = buffer[: len(block)]
+            rows = grid[:, :n]  # the n rows that hold cells
+            rows[..., :n] = block
+            rows[..., n:] = 0.0
+            grid[:, n:] = 0.0
+            _fft_in_place(scipy.fft.fft, rows, axis=-1)
+            _fft_in_place(scipy.fft.fft, grid, axis=-2)
+            grid *= spectrum
+            _fft_in_place(scipy.fft.ifft, grid, axis=-2)
+            _fft_in_place(scipy.fft.ifft, rows, axis=-1)
+            out[start:start + len(block)] = rows[..., :n]
+        return out.reshape(x.shape)
+
+
+def _fft_in_place(transform, a: np.ndarray, axis: int) -> None:
+    """Apply a ``scipy.fft`` transform to the complex view ``a`` in place.
+
+    Under ``overwrite_x`` scipy writes the result into ``a`` itself; the
+    copy back covers a version that returns a new array instead.
+    """
+    result = transform(a, axis=axis, overwrite_x=True)
+    if not np.may_share_memory(result, a):
+        a[...] = result
 
 
 @dataclass(frozen=True)
@@ -353,8 +398,11 @@ def backward(model: SimModel, trace: ForwardTrace, output_cotangent) -> Gradient
         if isinstance(layer, LinearLayer):
             phi = np.exp(1j * layer.phases)
             if layer.trainable:
-                sens = np.real(np.conj(cot_x) * (1j * phi * z))
-                grads.phase[i + 1] = _batch_sum(sens)
+                # Re[conj(c) j phi z] = -Im(phi conj(c) z), with conj(c) z
+                # summed over the batch before the per-cell phase
+                rows = (-1, z.shape[-1])
+                batch_dot = np.einsum("bm,bm->m", np.conj(cot_x).reshape(rows), z.reshape(rows))
+                grads.phase[i + 1] = -np.imag(phi * batch_dot)
             cot_z = np.conj(phi) * cot_x
         else:
             act, biases = layer.activation, layer.biases

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -104,10 +105,31 @@ class TestConfig:
             "[scenario]\ncarrier_frequency_hz = 1e300\n",
             "[scenario]\nlayer_spacing_wavelengths = 1e-300\n",
             "[scenario]\ncarrier_frequency_hz = 1e162\n",
+            # an output distance below the last bit of the stack depth
+            "[scenario]\noutput_distance_wavelengths = 1e-20\n",
+            # a coupling coefficient A / (2 pi d^2) beyond float range
+            "[scenario]\ncarrier_frequency_hz = 1e-100\nlayer_spacing_wavelengths = 1e-160\n",
         ]
         for text in bad:
             with pytest.raises(cli.ConfigError):
                 cli.load_config(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "output_distance_wavelengths = 1e-20\n",
+            "carrier_frequency_hz = 1e-100\nlayer_spacing_wavelengths = 1e-160\n",
+        ],
+        ids=["output-distance-rounds-to-zero", "kernel-overflows"],
+    )
+    def test_degenerate_coupling_exits_as_config_error(self, tmp_path, capsys, text):
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text("[scenario]\ncells_per_side = 4\n" + text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("config error:")
 
     def test_presets_parse(self):
         for name in ("desk", "desk-placement", "desk-depth", "paper"):
@@ -317,7 +339,7 @@ class TestCheckVerb:
         buf = io.StringIO()
         assert cli.self_check(seed=0, stream=buf)
         lines = buf.getvalue().strip().splitlines()
-        assert len(lines) == 6
+        assert len(lines) == 7
         assert all(line.startswith("PASS") for line in lines)
 
     def test_exit_code(self):
@@ -334,7 +356,7 @@ class TestCheckVerb:
             text=True,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.count("PASS") == 6
+        assert proc.stdout.count("PASS") == 7
 
 
 class TestMlBaselineVerb:

@@ -54,6 +54,9 @@ class TestGeometry:
             emfield.build_geometry(-1.0, 4, 2, LAM, LAM)
         with pytest.raises(ValueError):
             emfield.build_geometry(F0, 4, 2, 0.0, LAM)
+        # the output distance vanishes in the rounding of the stack depth
+        with pytest.raises(ValueError, match="rounding"):
+            emfield.build_geometry(F0, 4, 2, LAM, 1e-20 * LAM)
 
     def test_positions_read_only(self):
         g = small_geometry()

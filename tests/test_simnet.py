@@ -279,14 +279,18 @@ class TestCouplingOperator:
         )
         assert abs(np.vdot(wx, c) - np.vdot(x, whc)) <= 1e-12 * scale
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 28])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 28, 40])
     def test_fft_matches_dense_reference(self, n):
         geom = spaced_geometry(n)
         ref = emfield.rayleigh_sommerfeld_matrix(geom, 1, 2).entries
         op = simnet.FftCoupling.build(geom)
         rng = np.random.default_rng(n)
         m = geom.num_cells
-        for shape in [(m,), (3, m), (2, 3, m)]:
+        # batches that end inside, on and past the edges of the FFT
+        # blocks: 1, 7, 8, 9, 65 and 2 x 9 rows with 8-row blocks
+        b = simnet._FFT_BLOCK_ROWS
+        edges = [(1, m), (b - 1, m), (b, m), (b + 1, m), (8 * b + 1, m), (2, b + 1, m)]
+        for shape in [(m,), (3, m), (2, 3, m)] + edges:
             x = random_field(rng, shape)
             for got, want in ((op.apply(x), x @ ref.T), (op.adjoint(x), x @ np.conj(ref))):
                 assert got.shape == shape
@@ -332,6 +336,20 @@ class TestCouplingOperator:
     def test_single_layer_at_fft_size_has_no_coupling(self):
         geom = spaced_geometry(simnet._FFT_MIN_CELLS_PER_SIDE, num_layers=1)
         assert simnet.compute_propagation(geom).interlayer is None
+
+    def test_fft_allocates_at_most_two_blocks_beyond_its_output(self):
+        op = simnet.FftCoupling.build(spaced_geometry(40))
+        x = random_field(np.random.default_rng(5), (320, 1600))
+        p = op.spectrum.shape[0]
+        block_grid = simnet._FFT_BLOCK_ROWS * p * p * 16  # complex bytes
+        for fn in (op.apply, op.adjoint):
+            tracemalloc.start()
+            try:
+                fn(x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak - x.nbytes <= 2 * block_grid
 
     def test_fft_backend_holds_only_the_padded_spectrum(self):
         op = simnet.compute_propagation(spaced_geometry(40)).interlayer
