@@ -34,7 +34,7 @@ for v in (0.3, 0.5, 1.2):
 print("below the threshold |a| the output is exactly zero; the curve")
 print("then bends on smoothly, which is what a reverse bias exploits.")
 
-print("\ndiode-coupled cell, transcendental response solved per sample:")
+print("\ndiode-coupled cell, transcendental response solved in closed form (Wright omega):")
 params = nonlin.DiodeCircuitParams(alpha_per_volt=33.0)
 table = nonlin.diode_activation(params, v_max=1.0)
 for v in (0.05, 0.2, 0.5, 1.0):

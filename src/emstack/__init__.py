@@ -5,7 +5,7 @@ Modules
 emfield
     Geometry, propagation kernel, steering vectors, channel sampling.
 nonlin
-    Device nonlinearities, envelope maps, diode solver, surrogates.
+    Device nonlinearities, envelope maps, closed-form diode response, surrogates.
 simnet
     Layered model, forward pass, hand-derived adjoints, checkpoints.
 trainer

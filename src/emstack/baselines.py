@@ -93,13 +93,13 @@ def _field_vector(input_field, geometry: emfield.SimGeometry) -> np.ndarray:
     return s
 
 
-def _steering_blocks(geometry: emfield.SimGeometry, grid: SearchGrid, block_rows: int):
+def _steering_blocks(geometry: emfield.SimGeometry, grid: SearchGrid):
     """Yield (start, stop, steering rows) over the grid in flat order."""
     n_r, n_th = grid.shape
     r_flat = np.repeat(grid.r_points, n_th)
     th_flat = np.tile(grid.theta_points, n_r)
-    for start in range(0, r_flat.size, block_rows):
-        stop = min(start + block_rows, r_flat.size)
+    for start in range(0, r_flat.size, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, r_flat.size)
         yield start, stop, steering_rows(geometry, r_flat[start:stop], th_flat[start:stop])
 
 
@@ -119,12 +119,7 @@ def _peak_point(metric: np.ndarray, grid: SearchGrid) -> tuple:
     return float(grid.r_points[i_r]), float(grid.theta_points[i_th])
 
 
-def ml_metric_map(
-    input_field,
-    geometry: emfield.SimGeometry,
-    grid: SearchGrid,
-    block_rows: int = _BLOCK_ROWS,
-) -> np.ndarray:
+def ml_metric_map(input_field, geometry: emfield.SimGeometry, grid: SearchGrid) -> np.ndarray:
     """Matched-filter power |a(r, theta)^H s|^2 over the whole grid.
 
     Shape (num_r, num_theta); evaluated in row blocks to bound the
@@ -132,17 +127,12 @@ def ml_metric_map(
     """
     s = _field_vector(input_field, geometry)
     metric = np.empty(grid.shape).reshape(-1)
-    for start, stop, rows in _steering_blocks(geometry, grid, block_rows):
+    for start, stop, rows in _steering_blocks(geometry, grid):
         metric[start:stop] = _match_power(rows.conj(), s)
     return metric.reshape(grid.shape)
 
 
-def ml_estimate(
-    input_field,
-    geometry: emfield.SimGeometry,
-    grid: SearchGrid,
-    block_rows: int = _BLOCK_ROWS,
-) -> tuple:
+def ml_estimate(input_field, geometry: emfield.SimGeometry, grid: SearchGrid) -> tuple:
     """Exhaustive argmax of the matched-filter power over the grid.
 
     Ties resolve to the smallest flat index (range-major,
@@ -150,7 +140,7 @@ def ml_estimate(
     Nothing is cached: every call rebuilds the steering rows block by
     block, so memory stays bounded for any grid size.
     """
-    return _peak_point(ml_metric_map(input_field, geometry, grid, block_rows), grid)
+    return _peak_point(ml_metric_map(input_field, geometry, grid), grid)
 
 
 @functools.lru_cache(maxsize=1)
@@ -164,7 +154,7 @@ def _coarse_steering(
     per grid point in flat order, built in row blocks."""
     grid = make_search_grid(r_bounds, theta_max_rad, coarse_size, coarse_size)
     conj = np.empty((coarse_size * coarse_size, geometry.num_cells), dtype=complex)
-    for start, stop, rows in _steering_blocks(geometry, grid, _BLOCK_ROWS):
+    for start, stop, rows in _steering_blocks(geometry, grid):
         np.conjugate(rows, out=conj[start:stop])
     conj.flags.writeable = False
     return conj

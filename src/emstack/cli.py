@@ -666,9 +666,12 @@ def export_curves(cfg: ExperimentConfig, out_root) -> Path:
         params = nonlin.DiodeCircuitParams(alpha_per_volt=alpha, bias_volts=bias)
         table = nonlin.diode_activation(params, v_max=cu["v_max"])
         columns.append(table.value(amplitudes))
-        fits.append(
-            (alpha, nonlin.fit_relu_approximation(table, (0.0, cu["v_max"])))
-        )
+        # least-squares sums that overflow show up as a non-finite fit
+        with np.errstate(over="ignore", invalid="ignore"):
+            fit = nonlin.fit_relu_approximation(table, (0.0, cu["v_max"]))
+        if not np.all(np.isfinite([fit.gain, fit.knee, fit.residual_rms])):
+            raise NumericalFailure(f"non-finite ReLU fit at alpha {alpha:g}")
+        fits.append((alpha, fit))
 
     rows = ([float(v), *(float(col[i]) for col in columns)] for i, v in enumerate(amplitudes))
     header = ["amplitude"] + [f"C_alpha_{a:g}" for a in alphas]
@@ -859,7 +862,6 @@ def main(argv=None) -> int:
     except (
         NumericalFailure,
         nonlin.QuadratureError,
-        nonlin.DiodeSolverError,
         FloatingPointError,
     ) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -8,9 +8,9 @@ complex baseband as a phase-preserving amplitude map
     C[v] = (2 / pi) * integral_0^pi F[v cos(phi)] cos(phi) dphi.
 
 This module provides the bandpass device models, the C[v] integral with
-a catalog of closed forms, a transcendental solver for a diode-coupled
-antenna cell, tabulation of diode-derived activations, and the ReLU
-surrogate fit used by the trainable network.
+a catalog of closed forms, the closed-form (Wright omega) response of a
+diode-coupled antenna cell, tabulation of diode-derived activations,
+and the ReLU surrogate fit used by the trainable network.
 
 Bias convention: a cell's operating point is shifted by adding a bias
 b <= 0 to the instantaneous input, F_b[s] = F[s + b], which moves the
@@ -26,13 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
+from scipy.special import wrightomega
 
 QUADRATURE_ABS_TOL = 1e-9
-DIODE_RESIDUAL_TOL = 1e-12
-_DIODE_MAX_ITERATIONS = 200
-# Inputs per solver block: each block iterates only until its own
-# slowest point converges.  A 2048 x 129 table took 0.40 s unblocked.
-_DIODE_BLOCK = 16384
 
 
 class QuadratureError(RuntimeError):
@@ -41,10 +37,6 @@ class QuadratureError(RuntimeError):
     def __init__(self, message, achieved_error):
         super().__init__(f"{message} (achieved error estimate {achieved_error:.3e})")
         self.achieved_error = achieved_error
-
-
-class DiodeSolverError(RuntimeError):
-    """Raised when the diode solver fails to converge within its cap."""
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +171,7 @@ class DiodeCircuit(BandpassNL):
 
 
 # ---------------------------------------------------------------------------
-# Diode transcendental solver
+# Diode cell response
 # ---------------------------------------------------------------------------
 
 
@@ -188,78 +180,35 @@ def diode_bandpass_response(params: DiodeCircuitParams, instantaneous_input):
 
     Takes a scalar (returns a float) or an array (returns an array of
     the same shape).  The bias, when nonzero, is folded into the input
-    as s + b.  The unique root lies in [-R_A I_s, max(0, 2 s)]; it is
-    found by Newton on the log form
-    2 alpha (s - u) + ln(R_A I_s) - ln(u + R_A I_s) = 0 (immune to exp
-    overflow), safeguarded by bisection, to absolute residual <= 1e-12
-    on the original equation (or to the nearest representable root when
-    float64 conditioning caps the residual, which only happens for
-    inputs far beyond physical volt scales).  Deep-cutoff inputs, where
-    u + R_A I_s would underflow, short-circuit to the saturation
-    expansion u = R_A I_s (exp(2 alpha (s + R_A I_s)) - 1).  Inputs are
-    solved in fixed-size blocks; the solver is elementwise, so the
-    blocking changes no result.
+    as s + b.  With w = u + R_A I_s the equation reads
+    2 alpha w + ln(2 alpha w) = z, z = ln(2 alpha R_A I_s) + 2 alpha (s + b + R_A I_s),
+    so 2 alpha w = omega(z), the Wright omega function, and
+    u = omega(z) / (2 alpha) - R_A I_s in closed form.  A zero effective
+    input returns exactly 0.
 
     Raises
     ------
     ValueError
         If any input is not finite.
-    DiodeSolverError
-        If some input is still unsolved after the iteration cap.
+    FloatingPointError
+        If 2 alpha (s + b) leaves float range.
     """
     s = np.asarray(instantaneous_input, dtype=float)
     if not np.all(np.isfinite(s)):
         raise ValueError("diode input must be finite")
-    flat = s.ravel()
-    u = np.empty_like(flat)
-    for start in range(0, flat.size, _DIODE_BLOCK):
-        stop = start + _DIODE_BLOCK
-        u[start:stop] = _diode_solve_block(params, flat[start:stop])
-    u = u.reshape(s.shape)
-    return float(u) if u.ndim == 0 else u
-
-
-def _diode_solve_block(params: DiodeCircuitParams, s: np.ndarray) -> np.ndarray:
-    """Newton/bisection body of :func:`diode_bandpass_response` on a 1-D
-    block of finite inputs."""
-    s_eff = s + params.bias_volts
     ri = params.antenna_resistance_ohm * params.saturation_current_a
     alpha2 = 2.0 * params.alpha_per_volt
-    log_ri = math.log(ri)
-    x_floor = alpha2 * (s_eff + ri)
-    cutoff = x_floor <= math.log(DIODE_RESIDUAL_TOL) + abs(log_ri)
-
-    lo = np.full(s_eff.shape, -ri)
-    hi = np.maximum(0.0, 2.0 * s_eff)
-    u = np.clip(0.0, lo, hi)
-
-    def log_form(u):
-        return alpha2 * (s_eff - u) + log_ri - np.log(u + ri)
-
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        eps = np.finfo(float).eps
-        for _ in range(_DIODE_MAX_ITERATIONS):
-            h = np.where(cutoff, 0.0, log_form(u))
-            # exact identity: residual of the original equation
-            resid = (u + ri) * np.expm1(h)
-            # bracket exhausted at float resolution: u is the representable root
-            exhausted = hi - lo <= 4.0 * eps * np.maximum(np.maximum(np.abs(lo), np.abs(hi)), 1.0)
-            active = ~cutoff & ~exhausted & (np.abs(resid) > DIODE_RESIDUAL_TOL)
-            if not np.any(active):
-                break
-            lo = np.where(active & (h > 0), u, lo)
-            hi = np.where(active & (h <= 0), u, hi)
-            slope = -alpha2 - 1.0 / (u + ri)
-            newton = u - h / slope
-            ok = np.isfinite(newton) & (newton > lo) & (newton <= hi) & (newton != u)
-            u = np.where(active, np.where(ok, newton, 0.5 * (lo + hi)), u)
-        else:
-            stalled = s[active]
-            raise DiodeSolverError(
-                f"diode solver stalled on {stalled.size} input(s), "
-                f"first {float(stalled[0])!r}"
-            )
-    return np.where(cutoff, -ri + ri * np.exp(np.minimum(x_floor, 0.0)), u)
+    # evaluated in place: one output array, no full-size temporaries
+    with np.errstate(over="raise"):
+        u = np.add(s, params.bias_volts, out=np.empty_like(s))
+        u *= alpha2
+        u += alpha2 * ri + math.log(alpha2 * ri)
+        wrightomega(u, out=u)
+        u /= alpha2
+        u -= ri
+    # omega(z) at zero input is 2 alpha R_A I_s only to within rounding
+    u[s == -params.bias_volts] = 0.0
+    return float(u) if u.ndim == 0 else u
 
 
 # ---------------------------------------------------------------------------
@@ -409,44 +358,39 @@ class ShiftedReluLowpass(Activation):
         self.gain = _scalar_or_array(gain)
 
     def _branches(self, v, bias):
+        """Flattened v and a = shift + bias, the above-knee mask v > |a|,
+        and on that mask v, a, arccos(-a/v) and sqrt(v^2 - a^2)."""
         shape = np.broadcast_shapes(
             np.shape(v), np.shape(bias), np.shape(self.shift), np.shape(self.gain)
         )
         vv = np.broadcast_to(np.asarray(v, dtype=float), shape).ravel()
         aa = np.broadcast_to(self.shift + np.asarray(bias, dtype=float), shape).ravel()
-        return shape, vv, aa, vv > np.abs(aa)
+        above = vv > np.abs(aa)
+        vb, ab = vv[above], aa[above]
+        angle = np.arccos(np.clip(-ab / vb, -1.0, 1.0))
+        root = np.sqrt(np.maximum(vb ** 2 - ab ** 2, 0.0))
+        return shape, vv, aa, above, vb, ab, angle, root
 
     @staticmethod
     def _restore(out, shape):
         return out.reshape(shape) if shape else float(out[0])
 
     def value(self, v, bias=0.0):
-        shape, vv, aa, above = self._branches(v, bias)
+        shape, vv, aa, above, vb, ab, angle, root = self._branches(v, bias)
         out = np.where(aa > 0, vv, np.where(aa < 0, 0.0, 0.5 * vv))
-        if above.any():
-            vb, ab = vv[above], aa[above]
-            arg = np.clip(-ab / vb, -1.0, 1.0)
-            root = np.sqrt(np.maximum(vb ** 2 - ab ** 2, 0.0))
-            out[above] = (vb * np.arccos(arg) + ab * root / vb) / np.pi
+        out[above] = (vb * angle + ab * root / vb) / np.pi
         return self.gain * self._restore(out, shape)
 
     def derivative(self, v, bias=0.0):
-        shape, vv, aa, above = self._branches(v, bias)
+        shape, vv, aa, above, vb, ab, angle, root = self._branches(v, bias)
         out = np.where(aa > 0, 1.0, np.where(aa < 0, 0.0, 0.5))
-        if above.any():
-            vb, ab = vv[above], aa[above]
-            arg = np.clip(-ab / vb, -1.0, 1.0)
-            root = np.sqrt(np.maximum(vb ** 2 - ab ** 2, 0.0))
-            out[above] = (np.arccos(arg) - ab * root / vb ** 2) / np.pi
+        out[above] = (angle - ab * root / vb ** 2) / np.pi
         return self.gain * self._restore(out, shape)
 
     def bias_derivative(self, v, bias=0.0):
-        shape, vv, aa, above = self._branches(v, bias)
+        shape, vv, aa, above, vb, ab, angle, root = self._branches(v, bias)
         out = np.zeros(vv.shape)
-        if above.any():
-            vb, ab = vv[above], aa[above]
-            root = np.sqrt(np.maximum(vb ** 2 - ab ** 2, 0.0))
-            out[above] = (2.0 / np.pi) * root / vb
+        out[above] = (2.0 / np.pi) * root / vb
         return self.gain * self._restore(out, shape)
 
 
@@ -596,15 +540,19 @@ def closed_form_lowpass(nl: BandpassNL) -> Activation:
 # ---------------------------------------------------------------------------
 
 
-def tabulation_grid(v_max: float, n_points: int = 512, log_floor: float = 1e-8) -> np.ndarray:
-    """Amplitude grid: a short linear run up to ``log_floor``, then
+_LOG_FLOOR = 1e-8  # volts; where the tabulation grid turns logarithmic
+_QUADRATURE_NODES = 129  # Gauss-Legendre nodes of the tabulated envelope integral
+
+
+def tabulation_grid(v_max: float, n_points: int) -> np.ndarray:
+    """Amplitude grid: a short linear run up to ``_LOG_FLOOR``, then
     log-spaced to ``v_max``.  Envelopes span decades after path loss, so
     most resolution goes to the logarithmic part."""
-    if v_max <= log_floor:
+    if v_max <= _LOG_FLOOR:
         return np.linspace(0.0, v_max, n_points)
     n_lin = max(4, n_points // 64)
-    lin = np.linspace(0.0, log_floor, n_lin, endpoint=False)
-    log = np.geomspace(log_floor, v_max, n_points - n_lin)
+    lin = np.linspace(0.0, _LOG_FLOOR, n_lin, endpoint=False)
+    log = np.geomspace(_LOG_FLOOR, v_max, n_points - n_lin)
     return np.concatenate([lin, log])
 
 
@@ -615,15 +563,12 @@ def _gauss_legendre_nodes(n: int):
 
 
 def diode_activation(
-    params: DiodeCircuitParams,
-    v_max: float = 1.0,
-    n_points: int = 2048,
-    quadrature_nodes: int = 129,
+    params: DiodeCircuitParams, v_max: float = 1.0, n_points: int = 2048
 ) -> TabulatedActivationSet:
     """Tabulate the diode cell's envelope map C[v] on [0, v_max] as a
     one-row table.
 
-    Each grid amplitude is pushed through the transcendental cell
+    Each grid amplitude is pushed through the closed-form cell
     response and the envelope integral; the integral uses fixed
     Gauss-Legendre nodes (the composed integrand is smooth).  The
     512-point floor keeps linear interpolation honest; the denser
@@ -633,7 +578,7 @@ def diode_activation(
     if n_points < 512 or v_max <= 0:
         raise ValueError("need v_max > 0 and at least 512 grid points")
     grid = tabulation_grid(v_max, n_points)
-    phi, w = _gauss_legendre_nodes(quadrature_nodes)
+    phi, w = _gauss_legendre_nodes(_QUADRATURE_NODES)
     # arguments matrix: grid amplitude x quadrature node
     args = grid[:, None] * np.cos(phi)[None, :]
     f = diode_bandpass_response(params, args)

@@ -124,7 +124,6 @@ class TrainConfig:
     epochs: int = 100
     patience: int = 20
     seed: int = 0
-    loss_kind: str = "position-mse"
 
     def __post_init__(self):
         if self.learning_rate < 0 or self.bias_learning_rate < 0:
@@ -137,8 +136,6 @@ class TrainConfig:
             raise ValueError("batch size must be >= 1")
         if self.epochs < 0 or self.patience < 0:
             raise ValueError("epochs and patience must be >= 0")
-        if self.loss_kind != "position-mse":
-            raise ValueError(f"unknown loss kind {self.loss_kind!r}")
 
 
 @dataclass
@@ -194,17 +191,15 @@ def adam_step(
 # ---------------------------------------------------------------------------
 
 
-def calibrate_readout_scale(
-    model: simnet.SimModel, dataset: Dataset, quantile: float = READOUT_CALIBRATION_QUANTILE
-) -> float:
+def calibrate_readout_scale(model: simnet.SimModel, dataset: Dataset) -> float:
     """Set the readout scale so typical output amplitudes land in [0, 1].
 
-    Scale is the reciprocal of the given quantile of the per-sample
-    maximum output amplitude over the training split, evaluated with
-    the model as-is.
+    Scale is the reciprocal of the ``READOUT_CALIBRATION_QUANTILE``
+    quantile of the per-sample maximum output amplitude over the
+    training split, evaluated with the model as-is.
     """
     amp = simnet.amplitudes(model, dataset.fields, dataset.split.train)
-    peak = np.quantile(np.max(amp, axis=-1), quantile)
+    peak = np.quantile(np.max(amp, axis=-1), READOUT_CALIBRATION_QUANTILE)
     if not peak > 0:
         raise ValueError("all training outputs are zero; cannot calibrate readout")
     scale = float(1.0 / peak)

@@ -172,14 +172,15 @@ class TestMlEstimate:
         scaled = baselines.ml_estimate((0.3 - 2.0j) * field, geom, grid)
         assert base == scaled
 
-    def test_metric_map_matches_direct_computation(self):
+    def test_metric_map_matches_direct_computation(self, monkeypatch):
         geom = near_field_geometry(cells_per_side=8)
         grid = baselines.make_search_grid((1.0, 3.0), np.deg2rad(70.0), 6, 9)
         rng = np.random.default_rng(6)
         field = rng.standard_normal(geom.num_cells) + 1j * rng.standard_normal(
             geom.num_cells
         )
-        metric = baselines.ml_metric_map(field, geom, grid, block_rows=7)
+        monkeypatch.setattr(baselines, "_BLOCK_ROWS", 7)
+        metric = baselines.ml_metric_map(field, geom, grid)
         for i, r in enumerate(grid.r_points):
             for j, th in enumerate(grid.theta_points):
                 a = emfield.array_response(
@@ -188,15 +189,17 @@ class TestMlEstimate:
                 direct = abs(np.vdot(a, field)) ** 2
                 assert metric[i, j] == pytest.approx(direct, rel=1e-12)
 
-    def test_block_size_does_not_change_result(self):
+    def test_block_size_does_not_change_result(self, monkeypatch):
         geom = near_field_geometry(cells_per_side=8)
         grid = baselines.make_search_grid((1.0, 3.0), np.deg2rad(70.0), 10, 10)
         rng = np.random.default_rng(7)
         field = rng.standard_normal(geom.num_cells) + 1j * rng.standard_normal(
             geom.num_cells
         )
-        full = baselines.ml_metric_map(field, geom, grid, block_rows=1000)
-        tiny = baselines.ml_metric_map(field, geom, grid, block_rows=3)
+        monkeypatch.setattr(baselines, "_BLOCK_ROWS", 1000)
+        full = baselines.ml_metric_map(field, geom, grid)
+        monkeypatch.setattr(baselines, "_BLOCK_ROWS", 3)
+        tiny = baselines.ml_metric_map(field, geom, grid)
         np.testing.assert_allclose(tiny, full, rtol=1e-12)
 
     def test_off_grid_target_within_one_cell_diagonal(self):

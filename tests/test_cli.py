@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import emstack
-from emstack import baselines, cli, nonlin, simnet, trainer
+from emstack import baselines, cli, simnet, trainer
 
 
 TINY = """
@@ -414,12 +414,21 @@ class TestExitCodes:
         cfg_path.write_text(TINY.replace("epochs = 0", "epochs = 2"))
         assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
 
-    def test_diode_solver_stall_exits_2(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(nonlin, "_DIODE_MAX_ITERATIONS", 1)
+    @pytest.mark.parametrize(
+        "v_max",
+        # 2 alpha v leaves float range inside the diode response; the
+        # table is finite, but the ReLU fit's least-squares sums overflow
+        ["1e308", "1e200"],
+        ids=["diode-response", "relu-fit"],
+    )
+    def test_curves_overflow_exits_2(self, tmp_path, capsys, v_max):
         cfg_path = tmp_path / "cfg.ini"
-        cfg_path.write_text("[curves]\nalphas = 33\nsamples = 20\n")
-        assert cli.main(["curves", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
-        assert "diode solver stalled" in capsys.readouterr().err
+        cfg_path.write_text(f"[curves]\nalphas = 33\nsamples = 20\nv_max = {v_max}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = cli.main(["curves", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("numerical failure:")
 
     def test_dead_model_exits_2(self, tmp_path, capsys):
         # knees far above every field amplitude: all training outputs are zero

@@ -191,8 +191,6 @@ class TestAdam:
             trainer.TrainConfig(beta1=1.0)
         with pytest.raises(ValueError):
             trainer.TrainConfig(batch_size=0)
-        with pytest.raises(ValueError):
-            trainer.TrainConfig(loss_kind="absolute")
 
 
 def nonlin_relu_half():
