@@ -191,7 +191,8 @@ def diode_bandpass_response(params: DiodeCircuitParams, instantaneous_input):
     ValueError
         If any input is not finite.
     FloatingPointError
-        If 2 alpha (s + b) leaves float range.
+        If 2 alpha (s + b) leaves float range; the message names alpha
+        and the largest input magnitude.
     """
     s = np.asarray(instantaneous_input, dtype=float)
     if not np.all(np.isfinite(s)):
@@ -199,13 +200,19 @@ def diode_bandpass_response(params: DiodeCircuitParams, instantaneous_input):
     ri = params.antenna_resistance_ohm * params.saturation_current_a
     alpha2 = 2.0 * params.alpha_per_volt
     # evaluated in place: one output array, no full-size temporaries
-    with np.errstate(over="raise"):
-        u = np.add(s, params.bias_volts, out=np.empty_like(s))
-        u *= alpha2
-        u += alpha2 * ri + math.log(alpha2 * ri)
-        wrightomega(u, out=u)
-        u /= alpha2
-        u -= ri
+    try:
+        with np.errstate(over="raise"):
+            u = np.add(s, params.bias_volts, out=np.empty_like(s))
+            u *= alpha2
+            u += alpha2 * ri + math.log(alpha2 * ri)
+            wrightomega(u, out=u)
+            u /= alpha2
+            u -= ri
+    except FloatingPointError as exc:
+        raise FloatingPointError(
+            f"diode response at alpha {params.alpha_per_volt:g} /V overflows "
+            f"for largest input magnitude {np.max(np.abs(s)):g} V ({exc})"
+        ) from exc
     # omega(z) at zero input is 2 alpha R_A I_s only to within rounding
     u[s == -params.bias_volts] = 0.0
     return float(u) if u.ndim == 0 else u

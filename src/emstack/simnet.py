@@ -68,10 +68,11 @@ Layer = LinearLayer | NonlinearLayer
 
 # Grids with at least this many cells per side couple by FFT.  One apply
 # to a 64-row batch, one BLAS thread, 2-core x86 host, dense vs FFT,
-# fastest of 60 runs: 1.9 vs 2.6 ms at 20 cells per side, 3.0 vs 2.6 ms
-# at 24 (medians split across runs), 5.4 vs 3.5 ms at 28, 9.2 vs 4.4 ms
-# at 32 and 22 vs 6.2 ms at 40.
-_FFT_MIN_CELLS_PER_SIDE = 28
+# medians of 60 interleaved runs, measured twice: 0.78 vs 0.85-0.94 ms
+# at 16 cells per side, 1.15-1.18 vs 1.01-1.11 ms at 18, 1.73-1.82 vs
+# 1.15-1.33 ms at 20, 3.5 vs 1.8-2.0 ms at 24 and 6.5 vs 2.5 ms at 28.
+# The break-even lies near 17; 20 keeps a clear margin on both sides.
+_FFT_MIN_CELLS_PER_SIDE = 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,73 +94,88 @@ class DenseCoupling:
         return np.conj(np.conj(c) @ self.matrix)
 
 
-# Batch rows per FFT block: one block's padded grid at 40x40 cells is
-# 8 x 80 x 80 complex, 0.8 MB, which stays in a 2 MB per-core L2 cache
-# where a whole 64-row batch (6.5 MB) does not.  Blocks of 4 and 16
-# rows measured alike.
-_FFT_BLOCK_ROWS = 8
+# Batch rows per FFT block.  Every block is padded to this size, so
+# every per-frequency product has one matrix-matrix shape and a row's
+# result does not depend on where it sits in a batch (numpy sends a
+# one-row product to matrix-vector code, which rounds differently).
+# At 40x40 cells one block buffer is 80 x 16 x 40 complex, 0.8 MB.
+_FFT_BLOCK_ROWS = 16
 
 
 @dataclass(frozen=True, eq=False)
 class FftCoupling:
-    """Interlayer coupling as a 2-D linear convolution (large grids).
+    """Interlayer coupling as an FFT along y and a Toeplitz product
+    along x at each frequency (large grids).
 
     W depends only on the in-plane offset between cells, so x @ W.T
     convolves the (n, n) cell grid (x fastest) with the (2n-1, 2n-1)
-    offset kernel.  Only the kernel's spectrum is stored, zero-padded
-    to a fast FFT side P >= 2n-1 with offset d at index d mod P, so the
-    circular convolution of side P does not wrap onto the kept corner.
+    offset kernel.  Along y the convolution is a length-P FFT, P >= 2n-1
+    a fast size, with offset dy at index dy mod P so that the circular
+    convolution does not wrap onto the kept rows.  At frequency k the
+    x axis is then the product with the n x n Toeplitz matrix T_k,
+    T_k[j, i] = the kernel's spectrum along dy at k and offset
+    dx = i - j.  The kernel is even in dy, so T_k = T_{P-k} and only
+    T_0 .. T_{P//2} are held.
     """
 
-    spectrum: np.ndarray  # (P, P)
-    cells_per_side: int
+    toeplitz: np.ndarray  # (P // 2 + 1, n, n): T_0 .. T_{P//2}
+    fft_size: int  # P
 
     @classmethod
     def build(cls, geometry: emfield.SimGeometry) -> "FftCoupling":
         n = geometry.cells_per_side
         p = scipy.fft.next_fast_len(2 * n - 1)
-        padded = np.zeros((p, p), dtype=complex)
-        wrap = np.arange(1 - n, n) % p
-        padded[np.ix_(wrap, wrap)] = emfield.interlayer_offset_kernel(geometry)
-        spectrum = scipy.fft.fft2(padded)
-        spectrum.setflags(write=False)
-        return cls(spectrum, n)
+        padded = np.zeros((p, 2 * n - 1), dtype=complex)
+        padded[np.arange(1 - n, n) % p] = emfield.interlayer_offset_kernel(geometry)
+        spectrum = scipy.fft.fft(padded, axis=0)[: p // 2 + 1]
+        # column dx + n - 1 of the kernel holds offset dx = i - j
+        offset = np.arange(n) - np.arange(n)[:, None] + n - 1
+        toeplitz = np.ascontiguousarray(spectrum[:, offset])
+        toeplitz.setflags(write=False)
+        return cls(toeplitz, p)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """x @ W.T over the trailing cell axis."""
-        return self._convolve(x, self.spectrum)
+        return self._convolve(x, conjugate=False)
 
     def adjoint(self, c: np.ndarray) -> np.ndarray:
-        """c @ conj(W).  The offset kernel is even in both axes, so this
-        is the same convolution with the conjugate spectrum."""
-        return self._convolve(c, np.conj(self.spectrum))
+        """c @ conj(W).  W is symmetric, so this is conj(apply(conj(c))),
+        with both conjugations done on the block buffer."""
+        return self._convolve(c, conjugate=True)
 
-    def _convolve(self, x: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
-        """Pruned row-column convolution in blocks of batch rows.
+    def _convolve(self, x: np.ndarray, conjugate: bool) -> np.ndarray:
+        """The convolution in blocks of ``_FFT_BLOCK_ROWS`` batch rows,
+        conjugated on the way in and out when ``conjugate`` is set.
 
-        Only the n input rows are transformed along x and only the n
-        kept rows are inverse-transformed along x, so each image takes
-        2n + 2P one-dimensional transforms instead of the 4P of a
-        padded 2-D FFT pair.  All transforms run in one padded block
-        buffer.
+        Each block is copied into a (P, rows, n) buffer with y leading,
+        transformed along y, multiplied by T_k at each frequency k,
+        transformed back, and its n kept y rows copied out: an image
+        takes 2n one-dimensional transforms.  Plain assignments do the
+        copies and the conjugations run in place on the contiguous kept
+        rows, so neither allocates.
         """
-        n, p = self.cells_per_side, spectrum.shape[0]
+        n, p = self.toeplitz.shape[-1], self.fft_size
+        half = len(self.toeplitz)
+        mirrored = self.toeplitz[p - half:0:-1]  # T_{P-k} for k = half .. P-1
         grids = x.reshape(-1, n, n)
         out = np.empty(grids.shape, dtype=complex)
-        buffer = np.empty((_FFT_BLOCK_ROWS, p, p), dtype=complex)
+        spectra = np.empty((p, _FFT_BLOCK_ROWS, n), dtype=complex)
+        products = np.empty_like(spectra)
         for start in range(0, len(grids), _FFT_BLOCK_ROWS):
             block = grids[start:start + _FFT_BLOCK_ROWS]
-            grid = buffer[: len(block)]
-            rows = grid[:, :n]  # the n rows that hold cells
-            rows[..., :n] = block
-            rows[..., n:] = 0.0
-            grid[:, n:] = 0.0
-            _fft_in_place(scipy.fft.fft, rows, axis=-1)
-            _fft_in_place(scipy.fft.fft, grid, axis=-2)
-            grid *= spectrum
-            _fft_in_place(scipy.fft.ifft, grid, axis=-2)
-            _fft_in_place(scipy.fft.ifft, rows, axis=-1)
-            out[start:start + len(block)] = rows[..., :n]
+            rows = len(block)
+            spectra[:n, :rows] = block.transpose(1, 0, 2)
+            spectra[:n, rows:] = 0.0
+            spectra[n:] = 0.0
+            if conjugate:
+                np.conjugate(spectra[:n], out=spectra[:n])
+            _fft_in_place(scipy.fft.fft, spectra, axis=0)
+            np.matmul(spectra[:half], self.toeplitz, out=products[:half])
+            np.matmul(spectra[half:], mirrored, out=products[half:])
+            _fft_in_place(scipy.fft.ifft, products, axis=0)
+            if conjugate:
+                np.conjugate(products[:n], out=products[:n])
+            out[start:start + rows] = products[:n, :rows].transpose(1, 0, 2)
         return out.reshape(x.shape)
 
 
@@ -183,9 +199,9 @@ class Propagation:
     per-plane matrices of :func:`emfield.rayleigh_sommerfeld_matrix`
     equal it up to last-bit rounding of the plane coordinates.
     :func:`compute_propagation` holds it as the dense matrix below
-    ``_FFT_MIN_CELLS_PER_SIDE`` cells per side and as an FFT
-    convolution from there on; both backends offer ``apply(x)``
-    (= x @ W.T) and ``adjoint(c)`` (= c @ conj(W)).
+    ``_FFT_MIN_CELLS_PER_SIDE`` cells per side and as an
+    :class:`FftCoupling` from there on; both backends offer
+    ``apply(x)`` (= x @ W.T) and ``adjoint(c)`` (= c @ conj(W)).
     """
 
     interlayer: DenseCoupling | FftCoupling | None  # None when L = 1

@@ -415,20 +415,27 @@ class TestExitCodes:
         assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
 
     @pytest.mark.parametrize(
-        "v_max",
-        # 2 alpha v leaves float range inside the diode response; the
+        "v_max, details",
+        # 2 alpha v leaves float range inside the diode response, which
+        # names the cell's alpha and the largest input magnitude; the
         # table is finite, but the ReLU fit's least-squares sums overflow
-        ["1e308", "1e200"],
+        [
+            ("1e308", ["alpha 33 /V", "largest input magnitude 1e+308 V"]),
+            ("1e200", ["alpha 33"]),
+        ],
         ids=["diode-response", "relu-fit"],
     )
-    def test_curves_overflow_exits_2(self, tmp_path, capsys, v_max):
+    def test_curves_overflow_exits_2(self, tmp_path, capsys, v_max, details):
         cfg_path = tmp_path / "cfg.ini"
         cfg_path.write_text(f"[curves]\nalphas = 33\nsamples = 20\nv_max = {v_max}\n")
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             code = cli.main(["curves", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
         assert code == 2
-        assert capsys.readouterr().err.startswith("numerical failure:")
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:")
+        for detail in details:
+            assert detail in err
 
     def test_dead_model_exits_2(self, tmp_path, capsys):
         # knees far above every field amplitude: all training outputs are zero

@@ -287,7 +287,7 @@ class TestCouplingOperator:
         rng = np.random.default_rng(n)
         m = geom.num_cells
         # batches that end inside, on and past the edges of the FFT
-        # blocks: 1, 7, 8, 9, 65 and 2 x 9 rows with 8-row blocks
+        # blocks of b rows: 1, b - 1, b, b + 1, 8b + 1 and 2 x (b + 1) rows
         b = simnet._FFT_BLOCK_ROWS
         edges = [(1, m), (b - 1, m), (b, m), (b + 1, m), (8 * b + 1, m), (2, b + 1, m)]
         for shape in [(m,), (3, m), (2, 3, m)] + edges:
@@ -340,8 +340,9 @@ class TestCouplingOperator:
     def test_fft_allocates_at_most_two_blocks_beyond_its_output(self):
         op = simnet.FftCoupling.build(spaced_geometry(40))
         x = random_field(np.random.default_rng(5), (320, 1600))
-        p = op.spectrum.shape[0]
-        block_grid = simnet._FFT_BLOCK_ROWS * p * p * 16  # complex bytes
+        # one (P, rows, n) complex block buffer; the 16 KiB cover the
+        # views and other small objects of a call
+        block = op.fft_size * simnet._FFT_BLOCK_ROWS * 40 * 16
         for fn in (op.apply, op.adjoint):
             tracemalloc.start()
             try:
@@ -349,14 +350,32 @@ class TestCouplingOperator:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak - x.nbytes <= 2 * block_grid
+            assert peak - x.nbytes <= 2 * block + 16 * 1024
 
-    def test_fft_backend_holds_only_the_padded_spectrum(self):
+    def test_fft_backend_holds_only_the_half_toeplitz_stack(self):
         op = simnet.compute_propagation(spaced_geometry(40)).interlayer
-        # next_fast_len(2 * 40 - 1) = 80: 80 * 80 * 16 B, about 0.1 MB
-        assert set(vars(op)) == {"spectrum", "cells_per_side"}
-        assert op.spectrum.shape == (80, 80)
-        assert not op.spectrum.flags.writeable
+        # next_fast_len(2 * 40 - 1) = 80; T_0 .. T_40, each 40 x 40:
+        # 41 * 40 * 40 * 16 B, about 1 MB
+        assert set(vars(op)) == {"toeplitz", "fft_size"}
+        assert op.fft_size == 80
+        assert op.toeplitz.shape == (41, 40, 40)
+        assert 1.0e6 < op.toeplitz.nbytes < 1.1e6
+        assert not op.toeplitz.flags.writeable
+
+    @pytest.mark.parametrize("n", [28, 40])
+    def test_fft_row_is_independent_of_its_batch(self, n):
+        # every block is padded to one GEMM shape, so a row's bits do not
+        # depend on its neighbours, its place in a block or the batch size
+        op = shared_propagation(n).interlayer
+        x = random_field(np.random.default_rng(n), (64, n * n))
+        b = simnet._FFT_BLOCK_ROWS
+        tail = 2 * b + 3  # its last block holds 3 rows
+        for fn in (op.apply, op.adjoint):
+            batch = fn(x)
+            partial = fn(x[:tail])
+            for row in (0, b + 5, tail - 1, 63):
+                assert np.array_equal(fn(x[row]), batch[row])
+            assert np.array_equal(partial, batch[:tail])
 
 
 # phase-preserving activations with scalar parameters, so any cell count fits
@@ -372,7 +391,7 @@ EQUIVARIANT_ACTIVATIONS = [
     ),
 ]
 
-# cells per side -> propagation: dense below 28 cells per side, FFT at 28
+# cells per side -> propagation: dense at 4 cells per side, FFT at 28
 _PROPAGATIONS = {}
 
 
@@ -443,7 +462,7 @@ def blocked_model(n):
 
 
 class TestAmplitudes:
-    @pytest.mark.parametrize("n", [4, 28])
+    @pytest.mark.parametrize("n", [4, 28, 40])
     def test_matches_traced_forward_bit_for_bit(self, n):
         model = blocked_model(n)
         rng = np.random.default_rng(11)
