@@ -18,7 +18,7 @@ Verbs:
 Outputs are CSV (authoritative) plus small SVG plots, written under a
 directory named by a hash of the effective config so distinct
 configurations never collide.  ``results.csv`` streams row by row;
-every other CSV is written whole by :func:`simnet.atomic_write`.  Exit
+every other file is written whole by :func:`simnet.atomic_write`.  Exit
 codes: 0 success, 1 config error, 2 numerical failure.
 """
 
@@ -59,6 +59,9 @@ def _parse_int_list(text: str):
         raise ConfigError(f"expected a list of integers, got {text!r}") from exc
     if not values:
         raise ConfigError("empty integer list")
+    if len(set(values)) != len(values):
+        # a repeated seed or depth would retrain a point and overwrite its files
+        raise ConfigError(f"repeated value in integer list {text!r}")
     return values
 
 
@@ -528,7 +531,7 @@ def svg_plot(path, series, x_label: str, y_label: str, title: str = "") -> None:
             f'font-size="11" fill="{color}">{label}</text>'
         )
     parts.append("</svg>")
-    Path(path).write_text("\n".join(parts), encoding="utf-8")
+    simnet.atomic_write(path, lambda fh: fh.write("\n".join(parts)))
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +543,7 @@ def _output_dir(cfg: ExperimentConfig, out_root) -> Path:
     """``<out_root>/<config hash>/``, created, holding ``config.ini``."""
     out_dir = Path(out_root) / cfg.hash_id
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "config.ini").write_text(cfg.text, encoding="utf-8")
+    simnet.atomic_write(out_dir / "config.ini", lambda fh: fh.write(cfg.text))
     return out_dir
 
 

@@ -227,6 +227,13 @@ def _scalar_or_array(p):
     return np.asarray(p, dtype=float) if np.ndim(p) else float(p)
 
 
+def polar(x):
+    """(|x|, x/|x|) of a complex field, with direction exactly 0 at x = 0."""
+    x = np.asarray(x, dtype=complex)
+    rho = np.abs(x)
+    return rho, np.divide(x, rho, out=np.zeros_like(x), where=rho > 0.0)
+
+
 class Activation:
     """Envelope amplitude map C[v] with derivatives, applied phase-preserving.
 
@@ -252,39 +259,13 @@ class Activation:
 
     def apply(self, x, bias=0.0):
         """sigma(x) = C[|x|] exp(j arg x); exactly 0 at x = 0."""
-        x = np.asarray(x, dtype=complex)
-        rho = np.abs(x)
-        out = np.zeros_like(x)
-        nz = rho > 0.0
-        c = np.broadcast_to(np.asarray(self.value(rho, bias), dtype=float), x.shape)
-        np.divide(x, rho, out=out, where=nz)
-        out *= c
+        rho, out = polar(x)
+        out *= np.broadcast_to(np.asarray(self.value(rho, bias), dtype=float), out.shape)
         return out
 
     def _require_zero_bias(self, bias):
         if np.any(np.asarray(bias) != 0.0):
             raise NotImplementedError(f"{type(self).__name__} has no operating-point shift")
-
-
-class ScaledLinear(Activation):
-    """C[v] = gain * v.  An input bias on a linear device cancels out of
-    the fundamental harmonic, so the bias argument is a no-op."""
-
-    kind = "scaled_linear"
-    param_names = ("gain",)
-    supports_bias = True
-
-    def __init__(self, gain: float):
-        self.gain = float(gain)
-
-    def value(self, v, bias=0.0):
-        return self.gain * np.asarray(v, dtype=float)
-
-    def derivative(self, v, bias=0.0):
-        return np.broadcast_to(self.gain, np.shape(v)).astype(float, copy=False)
-
-    def bias_derivative(self, v, bias=0.0):
-        return np.zeros(np.broadcast_shapes(np.shape(v), np.shape(bias)))
 
 
 class ZeroActivation(Activation):
@@ -365,40 +346,30 @@ class ShiftedReluLowpass(Activation):
         self.gain = _scalar_or_array(gain)
 
     def _branches(self, v, bias):
-        """Flattened v and a = shift + bias, the above-knee mask v > |a|,
-        and on that mask v, a, arccos(-a/v) and sqrt(v^2 - a^2)."""
-        shape = np.broadcast_shapes(
-            np.shape(v), np.shape(bias), np.shape(self.shift), np.shape(self.gain)
-        )
-        vv = np.broadcast_to(np.asarray(v, dtype=float), shape).ravel()
-        aa = np.broadcast_to(self.shift + np.asarray(bias, dtype=float), shape).ravel()
-        above = vv > np.abs(aa)
-        vb, ab = vv[above], aa[above]
+        """v, a = shift + bias, the above-knee mask v > |a|, and
+        arccos(-a/v) and sqrt(v^2 - a^2), evaluated at v = 1, a = 0 off
+        the mask."""
+        v = np.asarray(v, dtype=float)
+        a = self.shift + np.asarray(bias, dtype=float)
+        above = v > np.abs(a)
+        vb, ab = np.where(above, v, 1.0), np.where(above, a, 0.0)
         angle = np.arccos(np.clip(-ab / vb, -1.0, 1.0))
         root = np.sqrt(np.maximum(vb ** 2 - ab ** 2, 0.0))
-        return shape, vv, aa, above, vb, ab, angle, root
-
-    @staticmethod
-    def _restore(out, shape):
-        return out.reshape(shape) if shape else float(out[0])
+        return v, a, above, vb, ab, angle, root
 
     def value(self, v, bias=0.0):
-        shape, vv, aa, above, vb, ab, angle, root = self._branches(v, bias)
-        out = np.where(aa > 0, vv, np.where(aa < 0, 0.0, 0.5 * vv))
-        out[above] = (vb * angle + ab * root / vb) / np.pi
-        return self.gain * self._restore(out, shape)
+        v, a, above, vb, ab, angle, root = self._branches(v, bias)
+        below = np.where(a > 0, v, np.where(a < 0, 0.0, 0.5 * v))
+        return self.gain * np.where(above, (vb * angle + ab * root / vb) / np.pi, below)
 
     def derivative(self, v, bias=0.0):
-        shape, vv, aa, above, vb, ab, angle, root = self._branches(v, bias)
-        out = np.where(aa > 0, 1.0, np.where(aa < 0, 0.0, 0.5))
-        out[above] = (angle - ab * root / vb ** 2) / np.pi
-        return self.gain * self._restore(out, shape)
+        v, a, above, vb, ab, angle, root = self._branches(v, bias)
+        below = np.where(a > 0, 1.0, np.where(a < 0, 0.0, 0.5))
+        return self.gain * np.where(above, (angle - ab * root / vb ** 2) / np.pi, below)
 
     def bias_derivative(self, v, bias=0.0):
-        shape, vv, aa, above, vb, ab, angle, root = self._branches(v, bias)
-        out = np.zeros(vv.shape)
-        out[above] = (2.0 / np.pi) * root / vb
-        return self.gain * self._restore(out, shape)
+        v, a, above, vb, ab, angle, root = self._branches(v, bias)
+        return self.gain * np.where(above, (2.0 / np.pi) * root / vb, 0.0)
 
 
 class FittedRelu(Activation):
@@ -586,10 +557,13 @@ def diode_activation(
         raise ValueError("need v_max > 0 and at least 512 grid points")
     grid = tabulation_grid(v_max, n_points)
     phi, w = _gauss_legendre_nodes(_QUADRATURE_NODES)
-    # arguments matrix: grid amplitude x quadrature node
-    args = grid[:, None] * np.cos(phi)[None, :]
-    f = diode_bandpass_response(params, args)
-    c = (2.0 / np.pi) * (f * np.cos(phi)[None, :]) @ w
+    cos = np.cos(phi)
+    # response at each grid amplitude x quadrature node, scaled in place:
+    # the operations and order of (2/pi) * (f * cos) @ w
+    f = diode_bandpass_response(params, grid[:, None] * cos)
+    f *= cos
+    f *= 2.0 / np.pi
+    c = f @ w
     # at v = 0 the integrand is a constant times cos(phi): exactly zero,
     # not the ~1e-21 quadrature roundoff
     c[grid == 0.0] = 0.0
@@ -685,8 +659,8 @@ def _param_to_json(p):
 
 # checkpoint kind -> activation class; each class names its parameters
 _ACTIVATION_KINDS = {cls.kind: cls for cls in (
-    ScaledLinear, ZeroActivation, ConstantAmplitude, PowerLowpass,
-    ShiftedReluLowpass, FittedRelu, TabulatedActivationSet,
+    ZeroActivation, ConstantAmplitude, PowerLowpass, ShiftedReluLowpass,
+    FittedRelu, TabulatedActivationSet,
 )}
 
 

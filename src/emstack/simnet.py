@@ -422,10 +422,8 @@ def backward(model: SimModel, trace: ForwardTrace, output_cotangent) -> Gradient
             cot_z = np.conj(phi) * cot_x
         else:
             act, biases = layer.activation, layer.biases
-            rho = np.abs(z)
-            nonzero = rho > 0.0
-            safe_rho = np.where(nonzero, rho, 1.0)
-            direction = np.where(nonzero, z / safe_rho, 0.0)
+            rho, direction = nonlin.polar(z)
+            safe_rho = np.where(rho > 0.0, rho, 1.0)
             amp = np.asarray(act.value(rho, biases), dtype=float)
             slope = np.asarray(act.derivative(rho, biases), dtype=float)
             u = np.conj(cot_x) * direction

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib import recfunctions
 
-from . import emfield, simnet
+from . import emfield, nonlin, simnet
 
 READOUT_CALIBRATION_QUANTILE = 0.95
 
@@ -229,9 +229,7 @@ def position_loss_and_cotangent(output_field, positions, scale, r_bounds):
     d_amp = np.stack(
         [d_range * scale * (r_max - r_min), d_azimuth * scale * np.pi], axis=-1
     )
-    mag = np.abs(y)
-    direction = np.where(mag > 0, y / np.where(mag > 0, mag, 1.0), 0.0)
-    return value, d_amp * direction
+    return value, d_amp * nonlin.polar(y)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -109,6 +109,9 @@ class TestConfig:
             "[scenario]\noutput_distance_wavelengths = 1e-20\n",
             # a coupling coefficient A / (2 pi d^2) beyond float range
             "[scenario]\ncarrier_frequency_hz = 1e-100\nlayer_spacing_wavelengths = 1e-160\n",
+            # a repeated seed or depth would retrain one point and overwrite its files
+            "[training]\nseeds = 7, 7\n",
+            "[experiment]\ndepth_values = 2, 3, 2\n",
         ]
         for text in bad:
             with pytest.raises(cli.ConfigError):
@@ -226,6 +229,23 @@ class TestRunVerb:
         assert len(rows) == 4
         assert [r[1] for r in rows] == ["1", "1", "2", "2"]
         assert (tmp_path / "out" / cfg.hash_id / "results.svg").exists()
+
+    def test_every_output_file_written_whole(self, tmp_path, monkeypatch):
+        written, real_write = [], simnet.atomic_write
+
+        def recording_write(path, write):
+            written.append(Path(path).name)
+            real_write(path, write)
+
+        monkeypatch.setattr(simnet, "atomic_write", recording_write)
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(PLACEMENT)
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+        out = tmp_path / "out" / cli.load_config(PLACEMENT).hash_id
+        assert {"config.ini", "results.svg"} <= set(written)
+        # every file but the streamed results.csv went through atomic_write
+        files = {p.name for p in out.rglob("*") if p.is_file()}
+        assert files - {"results.csv"} <= set(written)
 
     def test_depth_sweep_rows(self, tmp_path):
         text = TINY.replace("nl_mode = linear", "nl_mode = trainable") + (

@@ -1,5 +1,7 @@
 """Bandpass devices, the envelope integral, diode response, activations."""
 
+import hashlib
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,6 +15,45 @@ class CosineBump(nonlin.BandpassNL):
 
     def __call__(self, v):
         return np.cos(3.0 * np.asarray(v))
+
+
+def _rectifier_cases():
+    """(activation, v, bias) triples: scalar, per-cell and broadcast
+    inputs, with v = 0, v = |a| (the knee) and shifts below, at and above 0."""
+    cases = []
+    for shift in (-0.3, 0.0, 0.25):
+        for bias in (0.0, -0.1):
+            a = abs(shift + bias)
+            for v in (0.0, a, 0.5 * a, 0.2, 1.7):
+                cases.append((nonlin.ShiftedReluLowpass(shift, 1.3), v, bias))
+    rng = np.random.default_rng(1913)
+    shift = np.array([-0.3, 0.0, 0.25, -0.05, 0.1, 0.0, -0.2])
+    gain = rng.uniform(0.5, 1.5, shift.size)
+    bias = -rng.uniform(0.0, 0.1, shift.size)
+    bias[1] = 0.0
+    per_cell = nonlin.ShiftedReluLowpass(shift, gain)
+    v = rng.uniform(0.0, 0.6, (5, shift.size))
+    v[0] = 0.0
+    v[1] = np.abs(shift + bias)
+    cases += [(per_cell, v, bias), (per_cell, v, 0.0), (per_cell, 0.2, bias)]
+    scalar = nonlin.ShiftedReluLowpass(0.05, 0.9)
+    w = rng.uniform(0.0, 0.6, (5, shift.size))
+    w[0] = 0.0
+    w[1] = np.abs(0.05 + bias)
+    cases += [(scalar, w, bias), (nonlin.ShiftedReluLowpass(-0.05, 0.9), w[:, 2], -0.02)]
+    return cases
+
+
+def _rectifier_digest():
+    """SHA-256 of the shape and bytes of value, derivative and
+    bias_derivative over :func:`_rectifier_cases`."""
+    h = hashlib.sha256()
+    for act, v, bias in _rectifier_cases():
+        for fn in (act.value, act.derivative, act.bias_derivative):
+            out = np.asarray(fn(v, bias), dtype=float)
+            h.update(repr(out.shape).encode())
+            h.update(out.tobytes())
+    return h.hexdigest()
 
 
 class TestLowpassIntegral:
@@ -107,7 +148,15 @@ class TestClosedForms:
             nonlin.closed_form_lowpass(nonlin.DiodeCircuit(params))
 
 
+# _rectifier_digest() of the gather/scatter implementation this one replaced
+RECTIFIER_DIGEST = "031ea6f77e6b131757c4328256221f8a9251e5a3ba66b93308a4364f7d9bf941"
+
+
 class TestShiftedReluDerivatives:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_battery_bits_pinned(self):
+        assert _rectifier_digest() == RECTIFIER_DIGEST
+
     def test_value_derivative_consistency(self):
         act = nonlin.ShiftedReluLowpass(shift=-0.4, gain=1.3)
         eps = 1e-6
@@ -253,6 +302,20 @@ class TestDiodeActivation:
             direct = nonlin.lowpass_from_bandpass(dc, v)
             np.testing.assert_allclose(act.value(v), direct, rtol=1e-4)
 
+    def test_table_peak_memory(self):
+        # the argument matrix and the response it becomes; no third
+        # grid x node array
+        p = nonlin.DiodeCircuitParams(alpha_per_volt=56.0)
+        nonlin.diode_activation(p, v_max=0.05)  # warm up the quadrature nodes
+        tracemalloc.start()
+        try:
+            nonlin.diode_activation(p, v_max=0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        one_array = 2048 * nonlin._QUADRATURE_NODES * 8
+        assert peak < 2.5 * one_array
+
     def test_monotone_on_grid(self):
         p = nonlin.DiodeCircuitParams(alpha_per_volt=33.0, bias_volts=-0.4)
         act = nonlin.diode_activation(p, v_max=1.0)
@@ -346,6 +409,14 @@ class TestApplyActivation:
         got = act.apply(x)
         np.testing.assert_allclose(got, np.exp(1j * np.pi / 3), rtol=1e-12)
 
+    def test_polar_direction(self):
+        x = np.array([[0.0, 3.0 - 4.0j, -2.0j], [1e-300, 0.0, -7.5 + 0.0j]])
+        rho, direction = nonlin.polar(x)
+        np.testing.assert_array_equal(rho, np.abs(x))
+        assert np.all(direction[x == 0] == 0.0)
+        np.testing.assert_allclose(np.abs(direction[x != 0]), 1.0, rtol=1e-15)
+        np.testing.assert_allclose(rho * direction, x, rtol=1e-15)
+
     def test_zero_maps_to_zero(self):
         for act in (nonlin.ShiftedReluLowpass(), nonlin.ConstantAmplitude(4 / np.pi)):
             assert act.apply(0.0) == 0.0
@@ -353,7 +424,7 @@ class TestApplyActivation:
     @pytest.mark.parametrize(
         "act",
         [
-            nonlin.ScaledLinear(0.5),
+            nonlin.PowerLowpass(1, 0.5),
             nonlin.ShiftedReluLowpass(shift=-0.2),
             nonlin.FittedRelu(gain=0.4, knee=0.1),
             nonlin.ConstantAmplitude(1.0),
@@ -375,7 +446,7 @@ class TestApplyActivation:
             np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_batched_application(self):
-        act = nonlin.ScaledLinear(0.5)
+        act = nonlin.PowerLowpass(1, 0.5)
         x = np.array([2.0, 2j, 0.0, -4.0])
         got = act.apply(x)
         np.testing.assert_allclose(got, [1.0, 1j, 0.0, -2.0])
@@ -414,7 +485,7 @@ class TestSerialization:
     @pytest.mark.parametrize(
         "act",
         [
-            nonlin.ScaledLinear(0.5),
+            nonlin.PowerLowpass(1, 0.5),
             nonlin.ZeroActivation(),
             nonlin.ConstantAmplitude(4 / np.pi),
             nonlin.PowerLowpass(3, 0.75),
@@ -437,6 +508,9 @@ class TestSerialization:
             nonlin.activation_to_dict(Unregistered(gain=0.5))
         with pytest.raises(ValueError, match="unknown activation kind"):
             nonlin.activation_from_dict({"kind": "warp", "gain": 0.5})
+        # the linear map is PowerLowpass(1, g), stored as kind "power"
+        with pytest.raises(ValueError, match="unknown activation kind 'scaled_linear'"):
+            nonlin.activation_from_dict({"kind": "scaled_linear", "gain": 0.5})
 
     def test_legacy_single_curve_loads_as_one_row_table(self):
         grid = np.linspace(0, 1, 8)

@@ -380,7 +380,7 @@ class TestCouplingOperator:
 
 # phase-preserving activations with scalar parameters, so any cell count fits
 EQUIVARIANT_ACTIVATIONS = [
-    nonlin.ScaledLinear(0.7),
+    pytest.param(nonlin.PowerLowpass(1, 0.7), id="LinearPowerLowpass"),
     nonlin.ZeroActivation(),
     nonlin.ConstantAmplitude(4 / np.pi),
     nonlin.PowerLowpass(3, 0.75),
@@ -816,7 +816,6 @@ LOCKED_CHECKPOINT = (
 
 # kind -> (activation, its locked checkpoint entry)
 LOCKED_ACTIVATIONS = {
-    "scaled_linear": (nonlin.ScaledLinear(gain=0.5), '{"kind": "scaled_linear", "gain": 0.5}'),
     "zero": (nonlin.ZeroActivation(), '{"kind": "zero"}'),
     "constant_amplitude": (
         nonlin.ConstantAmplitude(level=1.25),
