@@ -781,20 +781,19 @@ def self_check(seed: int = 0, stream=None) -> bool:
         ("envelope quadrature vs closed form", relu_err < 1e-7, f"max err {relu_err:.2e}")
     )
 
-    # the fast coupling path against the dense matrix at 28 cells per side
-    # and at the paper's 40, on 37 rows: a prime, so the batch spans more
-    # than one FFT block and ends in a partial one
-    fft_err = 0.0
-    for n in (28, 40):
-        fft_geom = emfield.build_geometry(28e9, n, 2, 0.032, 0.032, 2)
-        fft = simnet.FftCoupling.build(fft_geom)
-        dense = emfield.rayleigh_sommerfeld_matrix(fft_geom, 1, 2).entries
+    # the fast coupling path against the dense matrix at 29 and 40 cells per
+    # side (both fold parities; 40 is the paper's grid), on 37 rows: a prime,
+    # so the batch spans more than one block and ends in a partial one
+    trig_err = 0.0
+    for n in (29, 40):
+        trig_geom = emfield.build_geometry(28e9, n, 2, 0.032, 0.032, 2)
+        trig = simnet.TrigCoupling.build(trig_geom)
+        dense = emfield.rayleigh_sommerfeld_matrix(trig_geom, 1, 2).entries
         v = rng.standard_normal((37, n * n)) + 1j * rng.standard_normal((37, n * n))
-        for got, want in ((fft.apply(v), v @ dense.T), (fft.adjoint(v), v @ np.conj(dense))):
-            fft_err = max(fft_err, np.max(np.abs(got - want)) / np.max(np.abs(want)))
-    checks.append(
-        ("FFT coupling vs dense", fft_err < 1e-12, f"max rel err {fft_err:.2e} at 28 and 40 cells")
-    )
+        for got, want in ((trig.apply(v), v @ dense.T), (trig.adjoint(v), v @ np.conj(dense))):
+            trig_err = max(trig_err, np.max(np.abs(got - want)) / np.max(np.abs(want)))
+    detail = f"max rel err {trig_err:.2e} at 29 and 40 cells"
+    checks.append(("trig coupling vs dense", trig_err < 1e-12, detail))
 
     all_ok = True
     for name, ok, detail in checks:

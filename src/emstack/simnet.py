@@ -22,7 +22,6 @@ import os
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
-import scipy.fft
 
 from . import emfield, nonlin
 
@@ -66,13 +65,11 @@ class NonlinearLayer:
 Layer = LinearLayer | NonlinearLayer
 
 
-# Grids with at least this many cells per side couple by FFT.  One apply
-# to a 64-row batch, one BLAS thread, 2-core x86 host, dense vs FFT,
-# medians of 60 interleaved runs, measured twice: 0.78 vs 0.85-0.94 ms
-# at 16 cells per side, 1.15-1.18 vs 1.01-1.11 ms at 18, 1.73-1.82 vs
-# 1.15-1.33 ms at 20, 3.5 vs 1.8-2.0 ms at 24 and 6.5 vs 2.5 ms at 28.
-# The break-even lies near 17; 20 keeps a clear margin on both sides.
-_FFT_MIN_CELLS_PER_SIDE = 20
+# Grids with at least this many cells per side couple by TrigCoupling, with a
+# margin over the break-even near 14: one 64-row apply (1 BLAS thread, 2-core
+# x86, medians of 60 interleaved runs, twice) takes 0.26 vs 0.35-0.37 ms dense
+# vs trig at 12 cells per side, 0.47 vs 0.45-0.48 at 14 and 0.80 vs 0.58 at 16.
+_TRIG_MIN_CELLS_PER_SIDE = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,131 +91,135 @@ class DenseCoupling:
         return np.conj(np.conj(c) @ self.matrix)
 
 
-# Batch rows per FFT block.  Every block is padded to this size, so
-# every per-frequency product has one matrix-matrix shape and a row's
-# result does not depend on where it sits in a batch (numpy sends a
-# one-row product to matrix-vector code, which rounds differently).
-# At 40x40 cells one block buffer is 80 x 16 x 40 complex, 0.8 MB.
-_FFT_BLOCK_ROWS = 16
+# Batch rows per TrigCoupling block.  Blocks are padded to it, so every product
+# has one matrix-matrix shape and a row's bits do not depend on its batch
+# (numpy sends a one-row product to matrix-vector code, which rounds differently).
+_TRIG_BLOCK_ROWS = 16
 
 
 @dataclass(frozen=True, eq=False)
-class FftCoupling:
-    """Interlayer coupling as an FFT along y and a Toeplitz product
-    along x at each frequency (large grids).
+class TrigCoupling:
+    """Interlayer coupling as a real cosine/sine transform along y and a
+    Toeplitz product along x at each frequency (large grids).
 
-    W depends only on the in-plane offset between cells, so x @ W.T
-    convolves the (n, n) cell grid (x fastest) with the (2n-1, 2n-1)
-    offset kernel.  Along y the convolution is a length-P FFT, P >= 2n-1
-    a fast size, with offset dy at index dy mod P so that the circular
-    convolution does not wrap onto the kept rows.  At frequency k the
-    x axis is then the product with the n x n Toeplitz matrix T_k,
-    T_k[j, i] = the kernel's spectrum along dy at k and offset
-    dx = i - j.  The kernel is even in dy, so T_k = T_{P-k} and only
-    T_0 .. T_{P//2} are held.
+    x @ W.T convolves the (n, n) grid (x fastest) with the offset kernel K, even
+    in dy, so on P = 2n-1 points (no wrap) the y convolution is diagonal in
+    cosines and sines about the centre row c = (n-1)/2.  With theta = 2 pi/P and
+    s >= 0 (half-integer for even n): fold e_s = x[c+s] + x[c-s] (the centre row
+    once), o_s = x[c+s] - x[c-s]; C_k = sum_s cos(theta k s) e_s (k < n),
+    S_k = sum_s sin(theta k s) o_s (0 < k < n); multiply both along x by
+    T_k[j, i] = sum_dy cos(theta k dy) K[dy, i - j]; E_s = sum_k (w_k/P)
+    cos(theta k s) C'_k, O_s with sines (w_0 = 1, w_k = 2); out[c+-s] = E_s +- O_s.
     """
 
-    toeplitz: np.ndarray  # (P // 2 + 1, n, n): T_0 .. T_{P//2}
-    fft_size: int  # P
+    toeplitz: np.ndarray  # (n, n, n): T_0 .. T_{n-1}
+    cos_forward: np.ndarray  # (n, ceil(n/2)), real like the other three
+    sin_forward: np.ndarray  # (n-1, floor(n/2))
+    cos_inverse: np.ndarray  # (ceil(n/2), n)
+    sin_inverse: np.ndarray  # (floor(n/2), n-1)
 
     @classmethod
-    def build(cls, geometry: emfield.SimGeometry) -> "FftCoupling":
+    def build(cls, geometry: emfield.SimGeometry) -> "TrigCoupling":
         n = geometry.cells_per_side
-        p = scipy.fft.next_fast_len(2 * n - 1)
-        padded = np.zeros((p, 2 * n - 1), dtype=complex)
-        padded[np.arange(1 - n, n) % p] = emfield.interlayer_offset_kernel(geometry)
-        spectrum = scipy.fft.fft(padded, axis=0)[: p // 2 + 1]
-        # column dx + n - 1 of the kernel holds offset dx = i - j
-        offset = np.arange(n) - np.arange(n)[:, None] + n - 1
-        toeplitz = np.ascontiguousarray(spectrum[:, offset])
-        toeplitz.setflags(write=False)
-        return cls(toeplitz, p)
+        p, k = 2 * n - 1, np.arange(n)
+        twice_s = 2 * np.arange(n // 2, n) - (n - 1)  # 2s for s >= 0; [n % 2:] has s > 0
+
+        def trig(f, a, b):  # f(theta a b / 2), the angle reduced exactly
+            return f(np.pi * (np.outer(a, b) % (2 * p)) / p)
+
+        kernel = emfield.interlayer_offset_kernel(geometry)
+        spectrum = trig(np.cos, k, 2 * np.arange(1 - n, n)) @ kernel  # column n-1+dx: dx = i-j
+        cos_forward = trig(np.cos, k, twice_s)
+        cos_forward[:, : n % 2] *= 0.5  # e_0 = 2 x[c] on an odd grid
+        weights = np.where(k == 0, 1.0, 2.0) / p
+        arrays = [
+            np.ascontiguousarray(spectrum[:, np.arange(n) - np.arange(n)[:, None] + n - 1]),
+            cos_forward, trig(np.sin, k[1:], twice_s[n % 2:]),
+            trig(np.cos, twice_s, k) * weights, trig(np.sin, twice_s[n % 2:], k[1:]) * weights[1:],
+        ]
+        for a in arrays:
+            a.setflags(write=False)
+        return cls(*arrays)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """x @ W.T over the trailing cell axis."""
         return self._convolve(x, conjugate=False)
 
     def adjoint(self, c: np.ndarray) -> np.ndarray:
-        """c @ conj(W).  W is symmetric, so this is conj(apply(conj(c))),
-        with both conjugations done on the block buffer."""
+        """c @ conj(W) = conj(apply(conj(c))), W being symmetric."""
         return self._convolve(c, conjugate=True)
 
     def _convolve(self, x: np.ndarray, conjugate: bool) -> np.ndarray:
-        """The convolution in blocks of ``_FFT_BLOCK_ROWS`` batch rows,
-        conjugated on the way in and out when ``conjugate`` is set.
+        """The convolution in ``_TRIG_BLOCK_ROWS``-row blocks; ``conjugate``
+        conjugates the fold and the unfold in place (the y transforms are real).
 
-        Each block is copied into a (P, rows, n) buffer with y leading,
-        transformed along y, multiplied by T_k at each frequency k,
-        transformed back, and its n kept y rows copied out: an image
-        takes 2n one-dimensional transforms.  Plain assignments do the
-        copies and the conjugations run in place on the contiguous kept
-        rows, so neither allocates.
-        """
-        n, p = self.toeplitz.shape[-1], self.fft_size
-        half = len(self.toeplitz)
-        mirrored = self.toeplitz[p - half:0:-1]  # T_{P-k} for k = half .. P-1
+        Two buffers of 2n (rows, n) slabs hold every stage; slabs 2k, 2k+1
+        hold [C_k; S_k] in ``stacked`` and its product with T_k in
+        ``products``.  Numpy buffers elementwise operations on transposed or
+        reversed operands, so the y halves are copied into slabs first."""
+        n, rows = self.toeplitz.shape[-1], _TRIG_BLOCK_ROWS
+        evens, odds, centre = (n + 1) // 2, n // 2, n % 2
         grids = x.reshape(-1, n, n)
         out = np.empty(grids.shape, dtype=complex)
-        spectra = np.empty((p, _FFT_BLOCK_ROWS, n), dtype=complex)
-        products = np.empty_like(spectra)
-        for start in range(0, len(grids), _FFT_BLOCK_ROWS):
-            block = grids[start:start + _FFT_BLOCK_ROWS]
-            rows = len(block)
-            spectra[:n, :rows] = block.transpose(1, 0, 2)
-            spectra[:n, rows:] = 0.0
-            spectra[n:] = 0.0
-            if conjugate:
-                np.conjugate(spectra[:n], out=spectra[:n])
-            _fft_in_place(scipy.fft.fft, spectra, axis=0)
-            np.matmul(spectra[:half], self.toeplitz, out=products[:half])
-            np.matmul(spectra[half:], mirrored, out=products[half:])
-            _fft_in_place(scipy.fft.ifft, products, axis=0)
+        stacked = np.empty((2 * n, rows, n), dtype=complex)
+        products = np.empty_like(stacked)
+
+        def real(slabs):  # the slabs as one (count, 2 rows n) float matrix
+            return slabs.view(float).reshape(len(slabs), 2 * rows * n)
+
+        upper, lower = stacked[n:n + evens], products[n:n + evens]
+        even, odd = products[:evens], products[evens:n]
+        even_back, odd_back = stacked[:evens], stacked[evens:n]
+        plus, minus = products[:odds], products[odds:2 * odds]
+        pairs, coupled = stacked.reshape(n, 2 * rows, n), products.reshape(n, 2 * rows, n)
+        for start in range(0, len(grids), rows):
+            block = grids[start:start + rows].transpose(1, 0, 2)  # y leading
+            count = block.shape[1]
+            upper[:, :count], lower[:, :count] = block[odds:], block[:evens][::-1]  # c + s, c - s
+            upper[:, count:] = lower[:, count:] = 0.0
+            np.add(upper, lower, out=even)
+            np.subtract(upper[centre:], lower[centre:], out=odd)
             if conjugate:
                 np.conjugate(products[:n], out=products[:n])
-            out[start:start + rows] = products[:n, :rows].transpose(1, 0, 2)
+            np.matmul(self.cos_forward, real(even), out=real(stacked[::2]))
+            np.matmul(self.sin_forward, real(odd), out=real(stacked[3::2]))
+            stacked[1] = 0.0  # S_0 (slab 1 is also scratch)
+            np.matmul(pairs, self.toeplitz, out=coupled)
+            np.matmul(self.cos_inverse, real(products[::2]), out=real(even_back))
+            np.matmul(self.sin_inverse, real(products[3::2]), out=real(odd_back))
+            if conjugate:
+                np.conjugate(stacked[:n], out=stacked[:n])
+            np.add(even_back[centre:], odd_back, out=plus)
+            np.subtract(even_back[centre:], odd_back, out=minus)
+            dst = out[start:start + count].transpose(1, 0, 2)
+            dst[n - odds:], dst[:odds][::-1] = plus[:, :count], minus[:, :count]
+            dst[odds:odds + centre] = even_back[:centre, :count]
         return out.reshape(x.shape)
-
-
-def _fft_in_place(transform, a: np.ndarray, axis: int) -> None:
-    """Apply a ``scipy.fft`` transform to the complex view ``a`` in place.
-
-    Under ``overwrite_x`` scipy writes the result into ``a`` itself; the
-    copy back covers a version that returns a new array instead.
-    """
-    result = transform(a, axis=axis, overwrite_x=True)
-    if not np.may_share_memory(result, a):
-        a[...] = result
 
 
 @dataclass(frozen=True)
 class Propagation:
     """Read-only coupling operators shared by every model on a geometry.
 
-    Layers are equally spaced and share one cell grid, so one operator
-    couples every transition l -> l+1; it is built for 1 -> 2, and the
-    per-plane matrices of :func:`emfield.rayleigh_sommerfeld_matrix`
-    equal it up to last-bit rounding of the plane coordinates.
-    :func:`compute_propagation` holds it as the dense matrix below
-    ``_FFT_MIN_CELLS_PER_SIDE`` cells per side and as an
-    :class:`FftCoupling` from there on; both backends offer
-    ``apply(x)`` (= x @ W.T) and ``adjoint(c)`` (= c @ conj(W)).
+    Layers are equally spaced on one cell grid, so one operator, built for
+    1 -> 2, couples every transition l -> l+1 (the per-plane
+    :func:`emfield.rayleigh_sommerfeld_matrix` equal it up to last-bit
+    rounding): a :class:`DenseCoupling` below ``_TRIG_MIN_CELLS_PER_SIDE``
+    cells per side, else a :class:`TrigCoupling`.  Both offer ``apply(x)``
+    (= x @ W.T) and ``adjoint(c)`` (= c @ conj(W)).
     """
 
-    interlayer: DenseCoupling | FftCoupling | None  # None when L = 1
+    interlayer: DenseCoupling | TrigCoupling | None  # None when L = 1
     output: np.ndarray  # last layer -> antenna array
 
 
 def compute_propagation(geometry: emfield.SimGeometry) -> Propagation:
     coupling = None
     if geometry.num_layers > 1:
-        if geometry.cells_per_side >= _FFT_MIN_CELLS_PER_SIDE:
-            coupling = FftCoupling.build(geometry)
-        else:
-            coupling = DenseCoupling.build(geometry)
-    g = emfield.rayleigh_sommerfeld_matrix(
-        geometry, geometry.num_layers, emfield.OUTPUT_ARRAY
-    ).entries
-    return Propagation(interlayer=coupling, output=g)
+        large = geometry.cells_per_side >= _TRIG_MIN_CELLS_PER_SIDE
+        coupling = (TrigCoupling if large else DenseCoupling).build(geometry)
+    g = emfield.rayleigh_sommerfeld_matrix(geometry, geometry.num_layers, emfield.OUTPUT_ARRAY)
+    return Propagation(interlayer=coupling, output=g.entries)
 
 
 @dataclass

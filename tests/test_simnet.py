@@ -251,7 +251,7 @@ class TestForward:
             simnet.forward(model, np.zeros(geom.num_cells + 1, dtype=complex))
 
 
-BACKENDS = (simnet.DenseCoupling, simnet.FftCoupling)
+BACKENDS = (simnet.DenseCoupling, simnet.TrigCoupling)
 
 
 def spaced_geometry(cells_per_side, num_layers=2, spacing_m=0.0123456789):
@@ -279,16 +279,17 @@ class TestCouplingOperator:
         )
         assert abs(np.vdot(wx, c) - np.vdot(x, whc)) <= 1e-12 * scale
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 28, 40])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 21, 28, 40])
     def test_fft_matches_dense_reference(self, n):
+        # odd and even n fold about a centre row and between two rows
         geom = spaced_geometry(n)
         ref = emfield.rayleigh_sommerfeld_matrix(geom, 1, 2).entries
-        op = simnet.FftCoupling.build(geom)
+        op = simnet.TrigCoupling.build(geom)
         rng = np.random.default_rng(n)
         m = geom.num_cells
-        # batches that end inside, on and past the edges of the FFT
-        # blocks of b rows: 1, b - 1, b, b + 1, 8b + 1 and 2 x (b + 1) rows
-        b = simnet._FFT_BLOCK_ROWS
+        # batches that end inside, on and past the edges of the blocks
+        # of b rows: 1, b - 1, b, b + 1, 8b + 1 and 2 x (b + 1) rows
+        b = simnet._TRIG_BLOCK_ROWS
         edges = [(1, m), (b - 1, m), (b, m), (b + 1, m), (8 * b + 1, m), (2, b + 1, m)]
         for shape in [(m,), (3, m), (2, 3, m)] + edges:
             x = random_field(rng, shape)
@@ -326,23 +327,23 @@ class TestCouplingOperator:
     @pytest.mark.parametrize(
         "n, backend",
         [
-            (simnet._FFT_MIN_CELLS_PER_SIDE - 1, simnet.DenseCoupling),
-            (simnet._FFT_MIN_CELLS_PER_SIDE, simnet.FftCoupling),
+            (simnet._TRIG_MIN_CELLS_PER_SIDE - 1, simnet.DenseCoupling),
+            (simnet._TRIG_MIN_CELLS_PER_SIDE, simnet.TrigCoupling),
         ],
     )
     def test_backend_chosen_by_grid_size(self, n, backend):
         assert type(simnet.compute_propagation(spaced_geometry(n)).interlayer) is backend
 
     def test_single_layer_at_fft_size_has_no_coupling(self):
-        geom = spaced_geometry(simnet._FFT_MIN_CELLS_PER_SIDE, num_layers=1)
+        geom = spaced_geometry(simnet._TRIG_MIN_CELLS_PER_SIDE, num_layers=1)
         assert simnet.compute_propagation(geom).interlayer is None
 
     def test_fft_allocates_at_most_two_blocks_beyond_its_output(self):
-        op = simnet.FftCoupling.build(spaced_geometry(40))
+        op = simnet.TrigCoupling.build(spaced_geometry(40))
         x = random_field(np.random.default_rng(5), (320, 1600))
-        # one (P, rows, n) complex block buffer; the 16 KiB cover the
+        # two (n, 2 rows, n) complex block buffers; the 16 KiB cover the
         # views and other small objects of a call
-        block = op.fft_size * simnet._FFT_BLOCK_ROWS * 40 * 16
+        buffers = 2 * 40 * 2 * simnet._TRIG_BLOCK_ROWS * 40 * 16
         for fn in (op.apply, op.adjoint):
             tracemalloc.start()
             try:
@@ -350,25 +351,34 @@ class TestCouplingOperator:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak - x.nbytes <= 2 * block + 16 * 1024
+            assert peak - x.nbytes <= buffers + 16 * 1024
 
     def test_fft_backend_holds_only_the_half_toeplitz_stack(self):
         op = simnet.compute_propagation(spaced_geometry(40)).interlayer
-        # next_fast_len(2 * 40 - 1) = 80; T_0 .. T_40, each 40 x 40:
-        # 41 * 40 * 40 * 16 B, about 1 MB
-        assert set(vars(op)) == {"toeplitz", "fft_size"}
-        assert op.fft_size == 80
-        assert op.toeplitz.shape == (41, 40, 40)
+        # T_0 .. T_39 on P = 79 points, each 40 x 40: 40 * 40 * 40 * 16 B,
+        # about 1 MB, and the four real transforms; no conjugated copy
+        shapes = {
+            "toeplitz": (40, 40, 40),
+            "cos_forward": (40, 20),
+            "sin_forward": (39, 20),
+            "cos_inverse": (20, 40),
+            "sin_inverse": (20, 39),
+        }
+        assert {name: a.shape for name, a in vars(op).items()} == shapes
+        assert op.toeplitz.dtype == complex
         assert 1.0e6 < op.toeplitz.nbytes < 1.1e6
-        assert not op.toeplitz.flags.writeable
+        for name in shapes:
+            assert not getattr(op, name).flags.writeable
+        for name in ("cos_forward", "sin_forward", "cos_inverse", "sin_inverse"):
+            assert getattr(op, name).dtype == float
 
-    @pytest.mark.parametrize("n", [28, 40])
+    @pytest.mark.parametrize("n", [21, 28, 40])
     def test_fft_row_is_independent_of_its_batch(self, n):
         # every block is padded to one GEMM shape, so a row's bits do not
         # depend on its neighbours, its place in a block or the batch size
         op = shared_propagation(n).interlayer
         x = random_field(np.random.default_rng(n), (64, n * n))
-        b = simnet._FFT_BLOCK_ROWS
+        b = simnet._TRIG_BLOCK_ROWS
         tail = 2 * b + 3  # its last block holds 3 rows
         for fn in (op.apply, op.adjoint):
             batch = fn(x)
@@ -391,7 +401,7 @@ EQUIVARIANT_ACTIVATIONS = [
     ),
 ]
 
-# cells per side -> propagation: dense at 4 cells per side, FFT at 28
+# cells per side -> propagation: dense at 4 cells per side, trig from 21 on
 _PROPAGATIONS = {}
 
 
@@ -408,7 +418,7 @@ class TestProperties:
     @given(phase=st.floats(0.0, 2.0 * np.pi), seed=st.integers(0, 2 ** 32 - 1))
     def test_stack_phase_equivariance(self, n, act, phase, seed):
         propagation = shared_propagation(n)
-        expected = simnet.FftCoupling if n >= 28 else simnet.DenseCoupling
+        expected = simnet.TrigCoupling if n >= 28 else simnet.DenseCoupling
         assert isinstance(propagation.interlayer, expected)
         m = n * n
         rng = np.random.default_rng(seed)
@@ -747,7 +757,7 @@ class TestFiniteDifference:
         rng = np.random.default_rng(25)
         dense, m = self._random_model(rng, 3, (2,))
         geom = dense.geometry
-        prop = simnet.Propagation(simnet.FftCoupling.build(geom), dense.propagation.output)
+        prop = simnet.Propagation(simnet.TrigCoupling.build(geom), dense.propagation.output)
         model = simnet.assemble_model(geom, dense.layers, prop)
         x = random_field(rng, (2, m))
         loss = quadratic_loss(random_field(rng, (2, 2)))
