@@ -52,19 +52,6 @@ class NumericalFailure(Exception):
 # Configuration schema
 # ---------------------------------------------------------------------------
 
-def _parse_int_list(text: str):
-    try:
-        values = [int(tok) for tok in text.replace(",", " ").split()]
-    except ValueError as exc:
-        raise ConfigError(f"expected a list of integers, got {text!r}") from exc
-    if not values:
-        raise ConfigError("empty integer list")
-    if len(set(values)) != len(values):
-        # a repeated seed or depth would retrain a point and overwrite its files
-        raise ConfigError(f"repeated value in integer list {text!r}")
-    return values
-
-
 def _finite_float(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
@@ -72,11 +59,23 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _parse_float_list(text: str):
-    try:
-        return [_finite_float(tok) for tok in text.replace(",", " ").split()]
-    except ValueError as exc:
-        raise ConfigError(f"expected a list of finite numbers, got {text!r}") from exc
+def _list_of(cast, what: str):
+    """Parser of a nonempty comma- or space-separated list of ``what``."""
+
+    def parse(text: str):
+        try:
+            values = [cast(tok) for tok in text.replace(",", " ").split()]
+        except ValueError as exc:
+            raise ConfigError(f"expected a list of {what}, got {text!r}") from exc
+        if not values:
+            raise ConfigError(f"empty list of {what}")
+        if len(set(values)) != len(values):
+            # a repeated seed or depth would retrain a point and overwrite
+            # its files; a repeated alpha would repeat a curves.csv column
+            raise ConfigError(f"repeated value in list {text!r}")
+        return values
+
+    return parse
 
 
 def _choice(options):
@@ -106,7 +105,6 @@ _SCHEMA = {
         "num_layers": (int, "4"),
         "layer_spacing_wavelengths": (_finite_float, "3.0"),
         "output_distance_wavelengths": (_finite_float, "3.0"),
-        "num_output_antennas": (int, "2"),
         "r_min_m": (_finite_float, "1.0"),
         "r_max_m": (_finite_float, "3.0"),
         "theta_max_deg": (_finite_float, "70.0"),
@@ -134,19 +132,17 @@ _SCHEMA = {
         "batch_size": (int, "64"),
         "epochs": (int, "50"),
         "patience": (int, "0"),
-        "seeds": (_parse_int_list, "101, 202, 303"),
+        "seeds": (_list_of(int, "integers"), "101, 202, 303"),
     },
     "experiment": {
         "sweep": (_choice(_SWEEP_OUTPUTS), "none"),
-        "depth_values": (_parse_int_list, "2, 4, 6"),
-        "ml_mode": (_choice(("two-stage", "exhaustive")), "two-stage"),
+        "depth_values": (_list_of(int, "integers"), "2, 4, 6"),
         "ml_coarse": (int, "100"),
         "ml_refine": (int, "21"),
-        "ml_exhaustive_points": (int, "1000"),
         "seed": (int, "42"),
     },
     "curves": {
-        "alphas": (_parse_float_list, "18, 33, 56"),
+        "alphas": (_list_of(_finite_float, "finite numbers"), "18, 33, 56"),
         "bias_shift_volts": (_finite_float, "0.4"),
         "v_max": (_finite_float, "1.0"),
         "samples": (int, "200"),
@@ -238,8 +234,8 @@ def _validate(cfg: dict) -> None:
             raise ConfigError("nl_layer_index must be an integer or 'last'") from exc
         if not 1 <= idx <= sc["num_layers"]:
             raise ConfigError("nl_layer_index outside 1..num_layers")
-    if sc["num_output_antennas"] != 2:
-        raise ConfigError("num_output_antennas must be 2: the readout maps two amplitudes")
+    if ex["sweep"] == "nl-layer-index" and mo["nl_mode"] == "linear":
+        raise ConfigError("sweep = nl-layer-index needs a nonlinear layer; nl_mode is linear")
     if mo["alpha_min"] > mo["alpha_max"] or mo["alpha_min"] <= 0:
         raise ConfigError("need 0 < alpha_min <= alpha_max")
     if mo["bias_scale_factor"] < 0 or mo["activation_gain"] <= 0:
@@ -266,7 +262,7 @@ def _validate(cfg: dict) -> None:
         # every coupling entry is largest on axis at the shortest gap
         for gap in (geometry.layer_spacing_m, geometry.output_distance_m):
             emfield.diffraction_kernel(gap, 1.0, geometry.wavelength_m, geometry.cell_area_m2)
-        for n in (ex["ml_coarse"], ex["ml_refine"], ex["ml_exhaustive_points"]):
+        for n in (ex["ml_coarse"], ex["ml_refine"]):
             baselines.make_search_grid(
                 (scenario.r_min_m, scenario.r_max_m), scenario.theta_max_rad, n, n
             )
@@ -310,7 +306,6 @@ def build_geometry(cfg: ExperimentConfig, num_layers: int | None = None) -> emfi
         num_layers=num_layers if num_layers is not None else sc["num_layers"],
         layer_spacing_m=sc["layer_spacing_wavelengths"] * wavelength,
         output_distance_m=sc["output_distance_wavelengths"] * wavelength,
-        num_output_antennas=sc["num_output_antennas"],
     )
 
 
@@ -410,17 +405,12 @@ def build_model(
 
 
 def _matched_filter(cfg: ExperimentConfig, geometry, dataset) -> trainer.EvalResult:
-    """Matched-filter grid search over the test split, per ``ml_mode``."""
+    """Two-stage matched-filter grid search over the test split."""
     ex, sc = cfg["experiment"], dataset.scenario
-    bounds, theta_max = (sc.r_min_m, sc.r_max_m), sc.theta_max_rad
-    if ex["ml_mode"] == "exhaustive":
-        n = ex["ml_exhaustive_points"]
-        grid = baselines.make_search_grid(bounds, theta_max, n, n)
-        estimator = lambda field: baselines.ml_estimate(field, geometry, grid)
-    else:
-        estimator = lambda field: baselines.ml_estimate_two_stage(
-            field, geometry, bounds, theta_max, ex["ml_coarse"], ex["ml_refine"]
-        )
+    estimator = lambda field: baselines.ml_estimate_two_stage(
+        field, geometry, (sc.r_min_m, sc.r_max_m), sc.theta_max_rad,
+        ex["ml_coarse"], ex["ml_refine"],
+    )
     result = baselines.evaluate_ml(dataset, geometry, dataset.split.test, estimator)
     # the two-stage coarse steering matrix (256 MB at 40x40 cells) is not used again
     baselines._coarse_steering.cache_clear()
@@ -658,8 +648,6 @@ def export_curves(cfg: ExperimentConfig, out_root) -> Path:
     shift, plus fitted piecewise-linear surrogate parameters."""
     cu = cfg["curves"]
     alphas = cu["alphas"]
-    if not alphas:
-        raise ConfigError("curves.alphas must list at least one coefficient")
     bias = -cu["bias_shift_volts"]
     out_dir = _output_dir(cfg, out_root)
 
@@ -808,7 +796,7 @@ def run_ml_baseline(cfg: ExperimentConfig, out_root) -> Path:
     geometry = build_geometry(cfg)
     result = _matched_filter(cfg, geometry, build_dataset(cfg, geometry))
     write_records_csv(out_dir / "ml_records.csv", cfg, result.records)
-    summary = [[cfg["experiment"]["ml_mode"], result.rmse]]
+    summary = [["two-stage", result.rmse]]
     _write_csv(out_dir / "ml_summary.csv", cfg, ["estimator", "test_rmse_m"], summary)
     return out_dir
 

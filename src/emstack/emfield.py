@@ -14,7 +14,6 @@ matched-filter baseline) consumes the objects built here.  Conventions:
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -164,10 +163,6 @@ class SimGeometry:
         """Diagonal extent D of one square layer."""
         return np.sqrt(2.0) * (self.cells_per_side - 1) * self.cell_pitch_m
 
-    def fingerprint(self) -> str:
-        """Stable hash of the defining parameters, for run provenance."""
-        return hashlib.sha256(repr(self.parameters()).encode()).hexdigest()[:16]
-
 
 # The public constructor name.
 build_geometry = SimGeometry
@@ -191,8 +186,6 @@ class PropagationMatrix:
     """Dense complex coupling matrix between two consecutive planes."""
 
     entries: np.ndarray
-    source_layer: int
-    dest_layer: object  # layer index or OUTPUT_ARRAY
 
 
 def diffraction_kernel(distance, cos_incidence, wavelength: float, cell_area: float):
@@ -249,7 +242,7 @@ def rayleigh_sommerfeld_matrix(
     cos_chi = diff[:, :, 2] / dist
     entries = diffraction_kernel(dist, cos_chi, geometry.wavelength_m, geometry.cell_area_m2)
     entries.setflags(write=False)
-    return PropagationMatrix(entries=entries, source_layer=source_layer, dest_layer=dest_layer)
+    return PropagationMatrix(entries)
 
 
 def interlayer_offset_kernel(geometry: SimGeometry) -> np.ndarray:
@@ -384,19 +377,16 @@ class Scenario:
 
 @dataclass(frozen=True)
 class ChannelSample:
-    """One training/evaluation draw: position, channel, observed field."""
+    """One training/evaluation draw: position and observed field."""
 
     position: UePosition
-    channel: np.ndarray
     input_field: np.ndarray
-    noise_power: float
-    pilot: complex
 
 
 def draw_sample(
     geometry: SimGeometry, scenario: Scenario, rng: np.random.Generator
 ) -> ChannelSample:
-    """Draw a uniform position, its channel, and the noisy layer-1 field.
+    """Draw a uniform position and the noisy layer-1 field of its channel.
 
     The pilot is the real amplitude sqrt(P_T); the observed field is
     h * pilot plus circular complex Gaussian noise of per-entry variance
@@ -413,11 +403,5 @@ def draw_sample(
     )
     field = h * pilot + noise
     field.setflags(write=False)
-    return ChannelSample(
-        position=position,
-        channel=h,
-        input_field=field,
-        noise_power=scenario.noise_power_w,
-        pilot=complex(pilot),
-    )
+    return ChannelSample(position, field)
 

@@ -115,7 +115,7 @@ class AbsoluteValue(BandpassNL):
 
     def closed_form(self):
         # even response: no fundamental-harmonic output
-        return ZeroActivation()
+        return PowerLowpass(1, 0.0)
 
 
 class Sign(BandpassNL):
@@ -268,20 +268,6 @@ class Activation:
             raise NotImplementedError(f"{type(self).__name__} has no operating-point shift")
 
 
-class ZeroActivation(Activation):
-    """Identically zero output (even bandpass response)."""
-
-    kind = "zero"
-
-    def value(self, v, bias=0.0):
-        self._require_zero_bias(bias)
-        return np.zeros(np.shape(v))
-
-    def derivative(self, v, bias=0.0):
-        self._require_zero_bias(bias)
-        return np.zeros(np.shape(v))
-
-
 class ConstantAmplitude(Activation):
     """C[v] = level for v > 0, 0 at v = 0 (hard-limiter response)."""
 
@@ -302,7 +288,8 @@ class ConstantAmplitude(Activation):
 
 
 class PowerLowpass(Activation):
-    """C[v] = coefficient * v**exponent."""
+    """C[v] = coefficient * v**exponent; PowerLowpass(1, 0) is the zero
+    map of an even response."""
 
     kind = "power"
     param_names = ("exponent", "coefficient")
@@ -659,8 +646,7 @@ def _param_to_json(p):
 
 # checkpoint kind -> activation class; each class names its parameters
 _ACTIVATION_KINDS = {cls.kind: cls for cls in (
-    ZeroActivation, ConstantAmplitude, PowerLowpass, ShiftedReluLowpass,
-    FittedRelu, TabulatedActivationSet,
+    ConstantAmplitude, PowerLowpass, ShiftedReluLowpass, FittedRelu, TabulatedActivationSet,
 )}
 
 
@@ -681,8 +667,6 @@ def activation_to_dict(activation: Activation) -> dict:
 def activation_from_dict(desc: dict) -> Activation:
     """Inverse of :func:`activation_to_dict`."""
     kind = desc["kind"]
-    if kind == "tabulated":  # single-curve checkpoints written before tabulated_set
-        return TabulatedActivationSet(np.array(desc["grid"]), np.array([desc["values"]]))
     if kind not in _ACTIVATION_KINDS:
         raise ValueError(f"unknown activation kind {kind!r}")
     cls = _ACTIVATION_KINDS[kind]

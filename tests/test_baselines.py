@@ -80,7 +80,7 @@ class TestLinearSimModel:
             ],
             propagation=shared,
         )
-        assert linear.geometry.fingerprint() == nl.geometry.fingerprint()
+        assert linear.geometry.parameters() == nl.geometry.parameters()
 
 
 class TestSearchGrid:

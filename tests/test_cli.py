@@ -84,7 +84,13 @@ class TestConfig:
             "[model]\ntable_points = 100\n",
             "[curves]\nbias_shift_volts = -0.1\n",
             "[experiment]\nsweep = sideways\n",
-            "[scenario]\nnum_output_antennas = 3\n",  # the readout needs two amplitudes
+            # removed keys: the readout maps two amplitudes, and the
+            # matched filter is always the two-stage search
+            "[scenario]\nnum_output_antennas = 2\n",
+            "[experiment]\nml_mode = two-stage\n",
+            "[experiment]\nml_exhaustive_points = 1000\n",
+            # a linear stack has no nonlinear layer to place: every point would be one model
+            "[model]\nnl_mode = linear\n[experiment]\nsweep = nl-layer-index\n",
             # non-finite numbers, and dB levels beyond float range
             "[scenario]\ntransmit_power_dbm = -inf\n",
             "[scenario]\nr_max_m = inf\n",
@@ -112,6 +118,8 @@ class TestConfig:
             # a repeated seed or depth would retrain one point and overwrite its files
             "[training]\nseeds = 7, 7\n",
             "[experiment]\ndepth_values = 2, 3, 2\n",
+            # a repeated alpha would write one curves.csv column twice
+            "[curves]\nalphas = 18, 18\n",
         ]
         for text in bad:
             with pytest.raises(cli.ConfigError):

@@ -228,12 +228,6 @@ class TestDrawSample:
             np.abs(ratio[0]), np.sqrt(sc.transmit_power_w / pl), rtol=1e-6
         )
 
-    def test_pilot_amplitude_30dbm(self):
-        g = small_geometry()
-        sc = emfield.Scenario()
-        sample = emfield.draw_sample(g, sc, np.random.default_rng(1))
-        np.testing.assert_allclose(sample.pilot, 1.0, rtol=1e-12)
-
     def test_position_ranges(self):
         g = small_geometry()
         sc = emfield.Scenario()

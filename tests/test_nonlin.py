@@ -399,7 +399,7 @@ class TestReluFit:
 
     def test_zero_activation_rejected(self):
         with pytest.raises(ValueError):
-            nonlin.fit_relu_approximation(nonlin.ZeroActivation(), (0.0, 1.0))
+            nonlin.fit_relu_approximation(nonlin.PowerLowpass(1, 0.0), (0.0, 1.0))
 
 
 class TestApplyActivation:
@@ -432,7 +432,7 @@ class TestApplyActivation:
             nonlin.TabulatedActivationSet(
                 np.linspace(0, 4, 16), np.linspace(0, 2, 16)[None, :] ** 1.5
             ),
-            nonlin.ZeroActivation(),
+            nonlin.PowerLowpass(1, 0.0),
         ],
         ids=["linear", "shifted", "fitted", "const", "power", "table", "zero"],
     )
@@ -486,7 +486,7 @@ class TestSerialization:
         "act",
         [
             nonlin.PowerLowpass(1, 0.5),
-            nonlin.ZeroActivation(),
+            nonlin.PowerLowpass(1, 0.0),
             nonlin.ConstantAmplitude(4 / np.pi),
             nonlin.PowerLowpass(3, 0.75),
             nonlin.ShiftedReluLowpass(shift=-0.3, gain=1.1),
@@ -508,17 +508,14 @@ class TestSerialization:
             nonlin.activation_to_dict(Unregistered(gain=0.5))
         with pytest.raises(ValueError, match="unknown activation kind"):
             nonlin.activation_from_dict({"kind": "warp", "gain": 0.5})
-        # the linear map is PowerLowpass(1, g), stored as kind "power"
-        with pytest.raises(ValueError, match="unknown activation kind 'scaled_linear'"):
-            nonlin.activation_from_dict({"kind": "scaled_linear", "gain": 0.5})
-
-    def test_legacy_single_curve_loads_as_one_row_table(self):
-        grid = np.linspace(0, 1, 8)
-        values = np.linspace(0, 0.5, 8)
-        act = nonlin.activation_from_dict(
-            {"kind": "tabulated", "grid": grid.tolist(), "values": values.tolist()}
-        )
-        assert isinstance(act, nonlin.TabulatedActivationSet)
-        assert act.values.shape == (1, 8)
-        np.testing.assert_array_equal(act.value(grid), values)
-        assert nonlin.activation_to_dict(act)["kind"] == "tabulated_set"
+        # removed kinds: the linear and the zero map are PowerLowpass(1, g)
+        # and PowerLowpass(1, 0), stored as kind "power"; a single curve is
+        # a one-row "tabulated_set"
+        removed = [
+            {"kind": "scaled_linear", "gain": 0.5},
+            {"kind": "zero"},
+            {"kind": "tabulated", "grid": [0.0, 1.0], "values": [0.0, 0.5]},
+        ]
+        for desc in removed:
+            with pytest.raises(ValueError, match=f"unknown activation kind '{desc['kind']}'"):
+                nonlin.activation_from_dict(desc)

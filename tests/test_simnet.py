@@ -280,7 +280,7 @@ class TestCouplingOperator:
         assert abs(np.vdot(wx, c) - np.vdot(x, whc)) <= 1e-12 * scale
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 21, 28, 40])
-    def test_fft_matches_dense_reference(self, n):
+    def test_trig_matches_dense_reference(self, n):
         # odd and even n fold about a centre row and between two rows
         geom = spaced_geometry(n)
         ref = emfield.rayleigh_sommerfeld_matrix(geom, 1, 2).entries
@@ -334,11 +334,11 @@ class TestCouplingOperator:
     def test_backend_chosen_by_grid_size(self, n, backend):
         assert type(simnet.compute_propagation(spaced_geometry(n)).interlayer) is backend
 
-    def test_single_layer_at_fft_size_has_no_coupling(self):
+    def test_single_layer_at_trig_size_has_no_coupling(self):
         geom = spaced_geometry(simnet._TRIG_MIN_CELLS_PER_SIDE, num_layers=1)
         assert simnet.compute_propagation(geom).interlayer is None
 
-    def test_fft_allocates_at_most_two_blocks_beyond_its_output(self):
+    def test_trig_allocates_at_most_two_blocks_beyond_its_output(self):
         op = simnet.TrigCoupling.build(spaced_geometry(40))
         x = random_field(np.random.default_rng(5), (320, 1600))
         # two (n, 2 rows, n) complex block buffers; the 16 KiB cover the
@@ -353,7 +353,7 @@ class TestCouplingOperator:
                 tracemalloc.stop()
             assert peak - x.nbytes <= buffers + 16 * 1024
 
-    def test_fft_backend_holds_only_the_half_toeplitz_stack(self):
+    def test_trig_backend_holds_only_the_half_toeplitz_stack(self):
         op = simnet.compute_propagation(spaced_geometry(40)).interlayer
         # T_0 .. T_39 on P = 79 points, each 40 x 40: 40 * 40 * 40 * 16 B,
         # about 1 MB, and the four real transforms; no conjugated copy
@@ -373,7 +373,7 @@ class TestCouplingOperator:
             assert getattr(op, name).dtype == float
 
     @pytest.mark.parametrize("n", [21, 28, 40])
-    def test_fft_row_is_independent_of_its_batch(self, n):
+    def test_trig_row_is_independent_of_its_batch(self, n):
         # every block is padded to one GEMM shape, so a row's bits do not
         # depend on its neighbours, its place in a block or the batch size
         op = shared_propagation(n).interlayer
@@ -391,7 +391,7 @@ class TestCouplingOperator:
 # phase-preserving activations with scalar parameters, so any cell count fits
 EQUIVARIANT_ACTIVATIONS = [
     pytest.param(nonlin.PowerLowpass(1, 0.7), id="LinearPowerLowpass"),
-    nonlin.ZeroActivation(),
+    pytest.param(nonlin.PowerLowpass(1, 0.0), id="ZeroPowerLowpass"),
     nonlin.ConstantAmplitude(4 / np.pi),
     nonlin.PowerLowpass(3, 0.75),
     nonlin.ShiftedReluLowpass(shift=-0.01, gain=1.1),
@@ -753,7 +753,7 @@ class TestFiniteDifference:
             )
             assert err < 1e-4, f"nl at {nl_positions}: {err}"
 
-    def test_fft_coupling_matches_finite_differences(self):
+    def test_trig_coupling_matches_finite_differences(self):
         rng = np.random.default_rng(25)
         dense, m = self._random_model(rng, 3, (2,))
         geom = dense.geometry
@@ -826,7 +826,6 @@ LOCKED_CHECKPOINT = (
 
 # kind -> (activation, its locked checkpoint entry)
 LOCKED_ACTIVATIONS = {
-    "zero": (nonlin.ZeroActivation(), '{"kind": "zero"}'),
     "constant_amplitude": (
         nonlin.ConstantAmplitude(level=1.25),
         '{"kind": "constant_amplitude", "level": 1.25}',
@@ -876,7 +875,7 @@ class TestCheckpoint:
         loaded, extra = simnet.load_checkpoint(path)
         assert extra == {"epoch": 7}
         assert loaded.readout_scale == model.readout_scale
-        assert loaded.geometry.fingerprint() == model.geometry.fingerprint()
+        assert loaded.geometry.parameters() == model.geometry.parameters()
         for a, b in zip(model.layers, loaded.layers):
             if isinstance(a, simnet.LinearLayer):
                 np.testing.assert_array_equal(a.phases, b.phases)
