@@ -283,13 +283,18 @@ class UePosition:
 
     def plane_xy(self) -> np.ndarray:
         """2-D position (r cos(theta), r sin(theta)) used by the loss."""
-        r, th = self.range_m, self.azimuth_rad
-        return np.array([r * np.cos(th), r * np.sin(th)])
+        return plane_xy(self.range_m, self.azimuth_rad)
 
 
-def steering_rows(geometry: SimGeometry, r_values, theta_values) -> np.ndarray:
+def plane_xy(r, theta) -> np.ndarray:
+    """Plane positions (r cos(theta), r sin(theta)) of polar estimates
+    or truths, on a new last axis of length 2."""
+    return np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
+
+
+def steering_rows(geometry: SimGeometry, r_values, theta_values, out=None) -> np.ndarray:
     """Near-field steering vectors of the first layer for point sources
-    at paired (r, theta) lists, one row per source.
+    at paired (r, theta) lists, one row per source, into ``out`` if given.
 
     Entry m of a row is exp(-j k (r - r_m)) / sqrt(M) with r the
     distance from the source to the layer center and r_m the distance
@@ -300,13 +305,23 @@ def steering_rows(geometry: SimGeometry, r_values, theta_values) -> np.ndarray:
     r = np.asarray(r_values, dtype=float)
     th = np.asarray(theta_values, dtype=float)
     cells = geometry.cell_positions[0]
-    # per-axis differences to the source at (r sin(theta), 0, -r cos(theta))
-    dx = cells[None, :, 0] - (r * np.sin(th))[:, None]
-    dy = cells[None, :, 1]
-    dz = cells[None, :, 2] + (r * np.cos(th))[:, None]
-    dist = np.sqrt(dx * dx + dy * dy + dz * dz)
-    k = geometry.wavenumber
-    return np.exp(-1j * k * (r[:, None] - dist)) / np.sqrt(geometry.num_cells)
+    # per-axis differences to the source at (r sin(theta), 0, -r cos(theta)),
+    # squared and summed in place; numpy buffers each broadcast operand, so
+    # a difference starts as a copy of its cell column
+    shape = (r.size, geometry.num_cells)
+    dist = np.broadcast_to(cells[:, 0], shape).copy()
+    dist -= (r * np.sin(th))[:, None]
+    dz = np.broadcast_to(cells[:, 2], shape).copy()
+    dz += (r * np.cos(th))[:, None]
+    dist *= dist
+    dist += cells[:, 1] * cells[:, 1]
+    dist += np.multiply(dz, dz, out=dz)
+    del dz
+    np.subtract(r[:, None], np.sqrt(dist, out=dist), out=dist)
+    out = np.multiply(-1j * geometry.wavenumber, dist, out=out)
+    np.exp(out, out=out)
+    out /= np.sqrt(geometry.num_cells)
+    return out
 
 
 def array_response(geometry: SimGeometry, position: UePosition) -> np.ndarray:
@@ -323,12 +338,46 @@ def path_loss(geometry: SimGeometry, position: UePosition) -> float:
     ValueError
         If the loss exceeds the float range (r / lambda above ~1e153).
     """
+    return _path_loss_at(geometry, position.range_m)
+
+
+def _path_loss_at(geometry: SimGeometry, range_m: float) -> float:
+    # a Python float square: numpy's differs in the last bit for ~0.1% of ranges
     try:
-        return (4.0 * np.pi * float(position.range_m) / geometry.wavelength_m) ** 2
+        return (4.0 * np.pi * float(range_m) / geometry.wavelength_m) ** 2
     except OverflowError as exc:
         raise ValueError(
-            f"path loss at {position.range_m!r} m beyond float range at this wavelength"
+            f"path loss at {range_m!r} m beyond float range at this wavelength"
         ) from exc
+
+
+def _complex_rows(parts: np.ndarray) -> np.ndarray:
+    """parts[:, 0] + 1j * parts[:, 1] of an (n, 2, M) array, bit for bit,
+    without numpy's full-size buffers for casting the parts."""
+    out = np.zeros((len(parts), parts.shape[-1]), dtype=complex)
+    out.real = parts[:, 1]
+    np.multiply(1j, out, out=out)
+    out.real += parts[:, 0]  # the imaginary part is never -0.0, so 0.0 + it is it
+    return out
+
+
+def _rician_rows(geometry, r, theta, gamma, normals, rician_factor_linear, out) -> np.ndarray:
+    """Rician channel rows (into ``out`` if given) of sources at (r,
+    theta) with LoS phases gamma and scattered parts ``normals``; a row's
+    operations and operand order, hence its bits, do not depend on the
+    other rows."""
+    if rician_factor_linear < 0:
+        raise ValueError("Rician factor must be nonnegative")
+    kap = rician_factor_linear
+    los = steering_rows(geometry, r, theta, out=out)
+    los *= np.exp(1j * gamma)[:, None]
+    np.multiply(np.sqrt(kap / (kap + 1.0)), los, out=los)
+    nlos = _complex_rows(normals)
+    nlos /= np.sqrt(2.0 * geometry.num_cells)
+    los += np.multiply(np.sqrt(1.0 / (kap + 1.0)), nlos, out=nlos)
+    del nlos
+    los /= np.sqrt([_path_loss_at(geometry, x) for x in r.tolist()]).astype(complex)[:, None]
+    return los
 
 
 def rician_channel(
@@ -344,15 +393,10 @@ def rician_channel(
     entries of variance 1/M.  The mixture is scaled so that
     E[||h||^2] = 1 / path_loss.
     """
-    if rician_factor_linear < 0:
-        raise ValueError("Rician factor must be nonnegative")
-    m = geometry.num_cells
     gamma = rng.uniform(0.0, 2.0 * np.pi)
-    nlos = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) / np.sqrt(2.0 * m)
-    kap = rician_factor_linear
-    los = array_response(geometry, position) * np.exp(1j * gamma)
-    h = np.sqrt(kap / (kap + 1.0)) * los + np.sqrt(1.0 / (kap + 1.0)) * nlos
-    return h / np.sqrt(path_loss(geometry, position))
+    normals = rng.standard_normal((1, 2, geometry.num_cells))
+    polar = np.array([[position.range_m], [position.azimuth_rad], [gamma]])
+    return _rician_rows(geometry, *polar, normals, rician_factor_linear, None)[0]
 
 
 @dataclass(frozen=True)
@@ -383,25 +427,51 @@ class ChannelSample:
     input_field: np.ndarray
 
 
+_BLOCK_ROWS = 64  # samples synthesized together by draw_fields
+
+
+def draw_fields(
+    geometry: SimGeometry, scenario: Scenario, rng: np.random.Generator, out: np.ndarray
+) -> np.ndarray:
+    """Draw a uniform position and the noisy layer-1 field of its channel
+    into each row of the (count, M) ``out``; return (r, theta), (2, count).
+
+    The field is h sqrt(P_T) plus circular complex Gaussian noise of
+    per-entry variance ``noise_power_w``.  A sample's 3 uniforms (range,
+    azimuth, LoS phase) and 4 M normals (scattered, then noise; real,
+    then imaginary parts) are contiguous in the stream, so it takes two
+    generator calls; rows are then formed ``_BLOCK_ROWS`` at a time.
+    """
+    count, m = out.shape
+    polar = np.empty((2, count))
+    uniforms = np.empty((min(count, _BLOCK_ROWS), 3))
+    normals = np.empty((len(uniforms), 4, m))
+    low = np.array([scenario.r_min_m, -scenario.theta_max_rad, 0.0])
+    span = np.array([scenario.r_max_m, scenario.theta_max_rad, 2.0 * np.pi]) - low
+    for start in range(0, count, _BLOCK_ROWS):
+        block = slice(start, min(start + _BLOCK_ROWS, count))
+        n = block.stop - start
+        for u, g in zip(uniforms[:n], normals[:n]):
+            rng.random(out=u)
+            rng.standard_normal(out=g)
+        # Generator.uniform(low, high) is low + (high - low) u, bit for bit
+        r, theta, gamma = (low + span * uniforms[:n]).T.copy()
+        polar[:, block] = r, theta
+        field = _rician_rows(
+            geometry, r, theta, gamma, normals[:n, :2], scenario.rician_factor, out[block]
+        )
+        field *= np.sqrt(scenario.transmit_power_w)
+        noise = _complex_rows(normals[:n, 2:])
+        field += np.multiply(noise, np.sqrt(scenario.noise_power_w / 2.0), out=noise)
+        del noise  # before the next block's steering rows
+    return polar
+
+
 def draw_sample(
     geometry: SimGeometry, scenario: Scenario, rng: np.random.Generator
 ) -> ChannelSample:
-    """Draw a uniform position and the noisy layer-1 field of its channel.
-
-    The pilot is the real amplitude sqrt(P_T); the observed field is
-    h * pilot plus circular complex Gaussian noise of per-entry variance
-    ``noise_power_w``.
-    """
-    r = rng.uniform(scenario.r_min_m, scenario.r_max_m)
-    th = rng.uniform(-scenario.theta_max_rad, scenario.theta_max_rad)
-    position = UePosition(range_m=r, azimuth_rad=th)
-    h = rician_channel(geometry, position, scenario.rician_factor, rng)
-    pilot = np.sqrt(scenario.transmit_power_w)
-    m = geometry.num_cells
-    noise = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) * np.sqrt(
-        scenario.noise_power_w / 2.0
-    )
-    field = h * pilot + noise
+    """One sample of :func:`draw_fields`, as a position and its field."""
+    field = np.empty((1, geometry.num_cells), dtype=complex)
+    (r,), (theta,) = draw_fields(geometry, scenario, rng, field)
     field.setflags(write=False)
-    return ChannelSample(position, field)
-
+    return ChannelSample(UePosition(float(r), float(theta)), field[0])

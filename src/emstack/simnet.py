@@ -369,10 +369,7 @@ def readout(output_field, scale: float, r_bounds) -> tuple:
     r_min, r_max = float(r_bounds[0]), float(r_bounds[1])
     range_est = r_min + scale * amp[..., 0] * (r_max - r_min)
     azimuth_est = (2.0 * scale * amp[..., 1] - 1.0) * (np.pi / 2.0)
-    position = np.stack(
-        [range_est * np.cos(azimuth_est), range_est * np.sin(azimuth_est)], axis=-1
-    )
-    return range_est, azimuth_est, position
+    return range_est, azimuth_est, emfield.plane_xy(range_est, azimuth_est)
 
 
 # ---------------------------------------------------------------------------

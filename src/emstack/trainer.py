@@ -75,18 +75,13 @@ def generate_dataset(
 ) -> Dataset:
     """Draw ``count`` channel realizations, then split them.
 
+    The draw is :func:`emfield.draw_fields`, so row i equals the i-th of
+    ``count`` :func:`emfield.draw_sample` calls on the same stream.
     Noise is frozen inside each sample; epochs reuse the same draw.
     """
     fields = np.empty((count, geometry.num_cells), dtype=complex)
-    positions = np.empty((count, 2))
-    r = np.empty(count)
-    theta = np.empty(count)
-    for i in range(count):
-        sample = emfield.draw_sample(geometry, scenario, rng)
-        fields[i] = sample.input_field
-        positions[i] = sample.position.plane_xy()
-        r[i] = sample.position.range_m
-        theta[i] = sample.position.azimuth_rad
+    r, theta = emfield.draw_fields(geometry, scenario, rng, fields)
+    positions = emfield.plane_xy(r, theta)
     for column in (fields, positions, r, theta):
         column.setflags(write=False)
     return Dataset(fields, positions, r, theta, split_indices(count, rng), scenario)
@@ -276,7 +271,7 @@ def score_estimates(dataset: Dataset, indices, r_hat, theta_hat) -> EvalResult:
     indices = np.asarray(indices)
     if indices.size == 0:
         raise ValueError("cannot evaluate an empty split")
-    p_hat = np.stack([r_hat * np.cos(theta_hat), r_hat * np.sin(theta_hat)], axis=-1)
+    p_hat = emfield.plane_xy(r_hat, theta_hat)
     truth = dataset.position_matrix(indices)
     errors = np.sqrt(np.sum((p_hat - truth) ** 2, axis=-1))
     columns = (dataset.r[indices], dataset.theta[indices], r_hat, theta_hat, errors)
@@ -284,8 +279,15 @@ def score_estimates(dataset: Dataset, indices, r_hat, theta_hat) -> EvalResult:
     return EvalResult(rmse=position_rmse(p_hat, truth), records=records)
 
 
+def _check_readout_width(model: simnet.SimModel) -> None:
+    # simnet.readout checks this too, but only after a forward pass
+    if model.propagation.output.shape[0] != 2:
+        raise ValueError("readout requires exactly 2 output antennas")
+
+
 def evaluate(model: simnet.SimModel, dataset: Dataset, indices) -> EvalResult:
     """:func:`score_estimates` of the model's readout over a split."""
+    _check_readout_width(model)
     if model.readout_scale is None:
         raise ValueError("model has no readout scale; calibrate before evaluating")
     amp = simnet.amplitudes(model, dataset.fields, indices)
@@ -305,6 +307,7 @@ def train(
     and the best (last good) checkpoint is returned with ``diverged``
     set.
     """
+    _check_readout_width(model)
     if dataset.split.train.size == 0 or dataset.split.validation.size == 0:
         raise ValueError("training requires non-empty train and validation splits")
     if model.readout_scale is None:

@@ -4,8 +4,8 @@ Covers the envelope-map theory oracles, the diode solver, gradient
 correctness, physics invariants, the matched-filter baseline, and the
 desk-scale training trends (nonlinear layer placement, depth scaling,
 trainable versus fabrication-random operating points).  The final
-full-scale criterion trains for hours and only runs with
-EMSTACK_RUN_SLOW=1.
+full-scale criterion trains for about 21 min on 2 cores with one BLAS
+thread and only runs with EMSTACK_RUN_SLOW=1.
 """
 
 import os
@@ -362,7 +362,10 @@ def test_criterion_8_full_scale(tmp_path, report):
     samples; matched filter beats the nonlinear stack, which beats
     the all-linear stack."""
     if os.environ.get("EMSTACK_RUN_SLOW") != "1":
-        pytest.skip("set EMSTACK_RUN_SLOW=1 to run the hours-long full-scale study")
+        pytest.skip(
+            "set EMSTACK_RUN_SLOW=1 to run the full-scale study "
+            "(about 21 min on 2 cores with one BLAS thread)"
+        )
     cfg = cli.load_config(cli.load_preset("paper"))
     out = cli.run_experiment(cfg, tmp_path)
     means = mean_rows(out / "results.csv")

@@ -249,6 +249,31 @@ class TestDrawSample:
         np.testing.assert_array_equal(s1[0].input_field, s2[0].input_field)
         assert s1[0].position == s2[0].position
 
+    def test_block_draw_keeps_the_per_sample_formulas(self):
+        # one full block and a partial one against the one-sample formulas,
+        # written out as whole-vector numpy expressions: the block draw
+        # reorders the work, not a single bit of it
+        g = small_geometry(cells_per_side=5)
+        sc = emfield.Scenario(rician_factor=3.0, noise_power_w=1e-9)
+        count, m = emfield._BLOCK_ROWS + 6, g.num_cells
+        fields = np.empty((count, m), dtype=complex)
+        polar = emfield.draw_fields(g, sc, np.random.default_rng(17), fields)
+        rng = np.random.default_rng(17)
+        x, y, z = g.cell_positions[0].T
+        for i in range(count):
+            r = rng.uniform(sc.r_min_m, sc.r_max_m)
+            th = rng.uniform(-sc.theta_max_rad, sc.theta_max_rad)
+            gamma = rng.uniform(0.0, 2.0 * np.pi)
+            nlos = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) / np.sqrt(2.0 * m)
+            dx, dz = x - r * np.sin(th), z + r * np.cos(th)
+            dist = np.sqrt(dx * dx + y * y + dz * dz)
+            los = np.exp(-1j * g.wavenumber * (r - dist)) / np.sqrt(m) * np.exp(1j * gamma)
+            h = np.sqrt(3.0 / 4.0) * los + np.sqrt(1.0 / 4.0) * nlos
+            h = h / np.sqrt((4.0 * np.pi * r / g.wavelength_m) ** 2)
+            noise = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) * np.sqrt(1e-9 / 2.0)
+            np.testing.assert_array_equal(fields[i], h * np.sqrt(sc.transmit_power_w) + noise)
+            np.testing.assert_array_equal(polar[:, i], [r, th])
+
     def test_scenario_validation(self):
         with pytest.raises(ValueError):
             emfield.Scenario(r_min_m=3.0, r_max_m=1.0)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,14 +10,14 @@ import pytest
 from emstack import emfield, simnet, trainer
 
 
-def make_geometry(cells_per_side=4, num_layers=2):
+def make_geometry(cells_per_side=4, num_layers=2, num_output_antennas=2):
     return emfield.build_geometry(
         carrier_frequency_hz=28e9,
         cells_per_side=cells_per_side,
         num_layers=num_layers,
         layer_spacing_m=0.05,
         output_distance_m=0.05,
-        num_output_antennas=2,
+        num_output_antennas=num_output_antennas,
     )
 
 
@@ -93,6 +94,39 @@ class TestSplits:
             np.concatenate([ds.split.train, ds.split.validation, ds.split.test]),
             rng.permutation(30),
         )
+
+    def test_block_draw_matches_a_draw_sample_loop(self):
+        # two full blocks and a partial one
+        count = 2 * emfield._BLOCK_ROWS + 3
+        geom = make_geometry(num_layers=1)
+        scenario = emfield.Scenario()
+        ds = trainer.generate_dataset(geom, scenario, count, np.random.default_rng(21))
+        rng = np.random.default_rng(21)
+        samples = [emfield.draw_sample(geom, scenario, rng) for _ in range(count)]
+        np.testing.assert_array_equal(ds.fields, np.stack([s.input_field for s in samples]))
+        np.testing.assert_array_equal(
+            ds.positions, np.stack([s.position.plane_xy() for s in samples])
+        )
+        np.testing.assert_array_equal(ds.r, [s.position.range_m for s in samples])
+        np.testing.assert_array_equal(ds.theta, [s.position.azimuth_rad for s in samples])
+        np.testing.assert_array_equal(
+            np.concatenate([ds.split.train, ds.split.validation, ds.split.test]),
+            rng.permutation(count),
+        )
+
+    def test_draw_holds_under_two_blocks_beyond_its_columns(self):
+        geom = make_geometry(cells_per_side=8, num_layers=1)
+        rng = np.random.default_rng(6)
+        tracemalloc.start()
+        try:
+            ds = trainer.generate_dataset(geom, emfield.Scenario(), 2000, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        columns = sum(c.nbytes for c in (ds.fields, ds.positions, ds.r, ds.theta))
+        # a block of scratch: the 4 M normals of each of its samples
+        block = emfield._BLOCK_ROWS * 4 * geom.num_cells * 8
+        assert peak < columns + 2 * block
 
 
 class TestPositionRmse:
@@ -377,6 +411,28 @@ class TestTrainLoop:
         _, model, ds = self._setup(count=100)
         with pytest.raises(ValueError):
             trainer.evaluate(model, ds, ds.split.test)
+
+    def test_three_antennas_fail_before_any_forward_pass(self, monkeypatch):
+        geom = make_geometry(num_layers=1, num_output_antennas=3)
+        rng = np.random.default_rng(14)
+        model = linear_model(geom, rng)
+        ds = trainer.generate_dataset(geom, noiseless_scenario(), 50, rng)
+        calls = []
+        for name in ("forward", "amplitudes"):
+            real = getattr(simnet, name)
+
+            def counted(*args, _real=real, **kwargs):
+                calls.append(_real)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(simnet, name, counted)
+        with pytest.raises(ValueError, match="readout requires exactly 2 output antennas"):
+            trainer.train(model, ds, trainer.TrainConfig(epochs=1))
+        assert model.readout_scale is None
+        model.readout_scale = 1.0
+        with pytest.raises(ValueError, match="readout requires exactly 2 output antennas"):
+            trainer.evaluate(model, ds, ds.split.test)
+        assert calls == []
 
 
 def trainer_bias_init(count, rng):
