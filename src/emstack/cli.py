@@ -17,9 +17,11 @@ Verbs:
 
 Outputs are CSV (authoritative) plus small SVG plots, written under a
 directory named by a hash of the effective config so distinct
-configurations never collide.  ``results.csv`` streams row by row;
-every other file is written whole by :func:`simnet.atomic_write`.  Exit
-codes: 0 success, 1 config error, 2 numerical failure.
+configurations never collide.  Every file is written whole by
+:func:`simnet.atomic_write`.  ``run`` trains one job per (point, seed)
+and writes ``results.csv`` once every job is done; a job's checkpoint
+marks it done, so a rerun resumes.  Exit codes: 0 success, 1 config
+error, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -242,10 +244,10 @@ def _validate(cfg: dict) -> None:
         raise ConfigError("bias_scale_factor must be >= 0 and activation_gain > 0")
     if tr["num_samples"] < 10:
         raise ConfigError("num_samples must be >= 10")
+    if min(tr["seeds"]) < 0 or ex["seed"] < 0:
+        raise ConfigError("seeds must be non-negative integers")
     if cu["v_max"] <= 0 or cu["samples"] < 2:
         raise ConfigError("curves need v_max > 0 and samples >= 2")
-    if cu["bias_shift_volts"] < 0:
-        raise ConfigError("bias_shift_volts is a rightward knee shift; must be >= 0")
     if mo["table_points"] < 512:
         raise ConfigError("table_points must be >= 512")
     if mo["activation"] == "diode-table" and mo["nl_mode"] == "trainable":
@@ -262,6 +264,8 @@ def _validate(cfg: dict) -> None:
         # every coupling entry is largest on axis at the shortest gap
         for gap in (geometry.layer_spacing_m, geometry.output_distance_m):
             emfield.diffraction_kernel(gap, 1.0, geometry.wavelength_m, geometry.cell_area_m2)
+        for alpha in cu["alphas"]:  # the knee shift is a non-positive diode bias
+            nonlin.DiodeCircuitParams(alpha_per_volt=alpha, bias_volts=-cu["bias_shift_volts"])
         for n in (ex["ml_coarse"], ex["ml_refine"]):
             baselines.make_search_grid(
                 (scenario.r_min_m, scenario.r_max_m), scenario.theta_max_rad, n, n
@@ -555,51 +559,47 @@ def sweep_points(cfg: ExperimentConfig) -> list:
     return [SweepPoint(d, d, d, variant) for d in depths for variant in _NL_MODES]
 
 
-def _run_point(cfg, point, geometry, propagation, dataset, out_dir, emit):
-    """Train and test ``point`` once per seed, writing its histories and
-    checkpoints and emitting its results rows; returns the mean test
-    RMSE and the last seed's test result."""
-    sweep = cfg["experiment"]["sweep"]
+def _run_job(cfg, point, seed, geometry, propagation, dataset, out_dir) -> trainer.EvalResult:
+    """Train and test ``point`` at ``seed``; its history, then its
+    checkpoint, which marks the job done.  A saved checkpoint is tested
+    again and kept if its RMSE is the stored one bit for bit; any other
+    came from other code, so the job retrains.  Returns the test result."""
+    name = f"{point.value}-{point.variant}-{seed}"
+    ckpt = out_dir / "models" / f"{name}.json"
+    if ckpt.exists():
+        model, extra = simnet.load_checkpoint(ckpt, propagation)
+        test = trainer.evaluate(model, dataset, dataset.split.test)
+        if test.rmse == extra.get("test_rmse_m"):
+            return test
     point_cfg = _variant_config(cfg, point.variant)
-    rmses = []
-    for seed in cfg["training"]["seeds"]:
-        model = build_model(point_cfg, geometry, propagation, dataset, seed, point.nl_position)
-        try:
-            trainer.calibrate_readout_scale(model, dataset)
-        except ValueError as exc:  # a dead model: every training output is zero
-            raise NumericalFailure(str(exc)) from exc
-        result = trainer.train(model, dataset, _train_config(cfg.values, seed))
-        if result.diverged:
-            raise NumericalFailure(f"training diverged (seed {seed})")
-        test = trainer.evaluate(result.best_model, dataset, dataset.split.test)
-        if not np.isfinite(test.rmse):
-            raise NumericalFailure(f"non-finite test RMSE (seed {seed})")
-        rmses.append(test.rmse)
-        emit(sweep, point.value, point.variant, seed, test.rmse)
-        name = f"{point.value}-{point.variant}-{seed}"
-        history = out_dir / f"history-{name}.csv"
-        columns = [f.name for f in dataclasses.fields(trainer.EpochRecord)]
-        _write_csv(history, cfg, columns, map(dataclasses.astuple, result.history))
-        simnet.save_checkpoint(
-            out_dir / "models" / f"{name}.json",
-            result.best_model,
-            extra={"test_rmse_m": test.rmse, "seed": seed},
-        )
-    mean = float(np.mean(rmses))
-    emit(sweep, point.value, point.variant, "mean", mean)
-    return mean, test
+    model = build_model(point_cfg, geometry, propagation, dataset, seed, point.nl_position)
+    try:
+        trainer.calibrate_readout_scale(model, dataset)
+    except ValueError as exc:  # a dead model: every training output is zero
+        raise NumericalFailure(str(exc)) from exc
+    result = trainer.train(model, dataset, _train_config(cfg.values, seed))
+    if result.diverged:
+        raise NumericalFailure(f"training diverged (seed {seed})")
+    test = trainer.evaluate(result.best_model, dataset, dataset.split.test)
+    if not np.isfinite(test.rmse):
+        raise NumericalFailure(f"non-finite test RMSE (seed {seed})")
+    columns = [f.name for f in dataclasses.fields(trainer.EpochRecord)]
+    history = map(dataclasses.astuple, result.history)
+    _write_csv(out_dir / f"history-{name}.csv", cfg, columns, history)
+    simnet.save_checkpoint(ckpt, result.best_model, extra={"test_rmse_m": test.rmse, "seed": seed})
+    return test
 
 
 def run_experiment(cfg: ExperimentConfig, out_root) -> Path:
-    """Train and evaluate each of :func:`sweep_points` in order; returns
-    the output directory.
+    """Run one job per (point, seed) of :func:`sweep_points` in order;
+    returns the output directory.
 
     Each depth builds its geometry and coupling once.  The dataset is
     drawn once per run (a draw reads only the first layer, so every
     depth sees the same one), and so is the matched filter.
-    ``results.csv`` streams one row per seed and a mean row per point,
-    so partial sweeps leave usable files behind; ``_SWEEP_OUTPUTS``
-    adds the per-kind files and rows.
+    ``results.csv``, one row per seed and a mean row per point, is
+    written once every job is done; a rerun into the same directory
+    skips finished jobs.  ``_SWEEP_OUTPUTS`` adds per-kind files and rows.
     """
     out_dir = _output_dir(cfg, out_root)
     (out_dir / "models").mkdir(exist_ok=True)
@@ -608,29 +608,26 @@ def run_experiment(cfg: ExperimentConfig, out_root) -> Path:
     geometry = build_geometry(cfg)
     dataset = build_dataset(cfg, geometry)
     ml_rmse = _matched_filter(cfg, geometry, dataset).rmse if ml_rows else None
-    curves = {}  # variant -> (point values, mean RMSEs)
-    with open(out_dir / "results.csv", "w", encoding="utf-8") as results:
-
-        def emit(*values):
-            results.write(_csv_line(values))
-            results.flush()
-
-        emit(_header(cfg))
-        emit("sweep", "point", "variant", "seed", "test_rmse_m")
-        for depth, group in itertools.groupby(sweep_points(cfg), lambda p: p.depth):
-            depth_geometry = build_geometry(cfg, num_layers=depth)
-            propagation = simnet.compute_propagation(depth_geometry)
-            for point in group:
-                mean, test = _run_point(
-                    cfg, point, depth_geometry, propagation, dataset, out_dir, emit
-                )
-                xs, ys = curves.setdefault(point.variant, ([], []))
-                xs.append(point.value)
-                ys.append(mean)
-            if write_records:
-                write_records_csv(out_dir / "records.csv", cfg, test.records)
-            if ml_rows:
-                emit(sweep, point.value, "ml", "-", ml_rmse)
+    rows, curves = [], {}  # curves: variant -> (point values, mean RMSEs)
+    for depth, group in itertools.groupby(sweep_points(cfg), lambda p: p.depth):
+        depth_geometry = build_geometry(cfg, num_layers=depth)
+        propagation = simnet.compute_propagation(depth_geometry)
+        for point in group:
+            rmses = []
+            for seed in cfg["training"]["seeds"]:
+                test = _run_job(cfg, point, seed, depth_geometry, propagation, dataset, out_dir)
+                rmses.append(test.rmse)
+                rows.append((sweep, point.value, point.variant, seed, test.rmse))
+            rows.append((sweep, point.value, point.variant, "mean", float(np.mean(rmses))))
+            xs, ys = curves.setdefault(point.variant, ([], []))
+            xs.append(point.value)
+            ys.append(rows[-1][-1])
+        if ml_rows:
+            rows.append((sweep, point.value, "ml", "-", ml_rmse))
+    columns = ("sweep", "point", "variant", "seed", "test_rmse_m")
+    _write_csv(out_dir / "results.csv", cfg, columns, rows)
+    if write_records:
+        write_records_csv(out_dir / "records.csv", cfg, test.records)
     if plot:
         series = [(variant, xs, ys) for variant, (xs, ys) in curves.items()]
         svg_plot(out_dir / "results.svg", series, plot[0], "test RMSE [m]", plot[1])
@@ -837,6 +834,8 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
         if args.verb == "check":
             return 0 if self_check(args.seed if args.seed is not None else 0) else 2
         cfg = _load_from_args(args)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import io
+import json
 import math
 import os
 import subprocess
@@ -120,10 +121,19 @@ class TestConfig:
             "[experiment]\ndepth_values = 2, 3, 2\n",
             # a repeated alpha would write one curves.csv column twice
             "[curves]\nalphas = 18, 18\n",
+            # numpy generators take non-negative seeds only
+            "[training]\nseeds = -1\n",
+            "[training]\nseeds = 7, -1\n",
+            "[experiment]\nseed = -1\n",
+            # every alpha must make a diode at the knee shift
+            "[curves]\nalphas = 0\n",
+            "[curves]\nalphas = -1, 5\n",
         ]
         for text in bad:
             with pytest.raises(cli.ConfigError):
                 cli.load_config(text)
+        with pytest.raises(cli.ConfigError):
+            cli.load_config("", overrides={"experiment.seed": -3})
 
     @pytest.mark.parametrize(
         "text",
@@ -251,9 +261,8 @@ class TestRunVerb:
         assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
         out = tmp_path / "out" / cli.load_config(PLACEMENT).hash_id
         assert {"config.ini", "results.svg"} <= set(written)
-        # every file but the streamed results.csv went through atomic_write
         files = {p.name for p in out.rglob("*") if p.is_file()}
-        assert files - {"results.csv"} <= set(written)
+        assert files <= set(written)
 
     def test_depth_sweep_rows(self, tmp_path):
         text = TINY.replace("nl_mode = linear", "nl_mode = trainable") + (
@@ -327,6 +336,68 @@ class TestRunner:
         assert [p.name for p in tmp_path.iterdir()] == ["records.csv"]
 
 
+class Interrupted(Exception):
+    pass
+
+
+class CountingTrain:
+    """``trainer.train`` that records each job's seed and raises once
+    ``limit`` jobs have trained."""
+
+    real = staticmethod(trainer.train)
+
+    def __init__(self, limit=None):
+        self.seeds, self.limit = [], limit
+
+    def __call__(self, *args):
+        if len(self.seeds) == self.limit:
+            raise Interrupted
+        self.seeds.append(args[2].seed)
+        return self.real(*args)
+
+
+def tree_bytes(root):
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+class TestResume:
+    """A rerun into the same directory trains only the jobs without a
+    valid checkpoint and writes the files of an uninterrupted run."""
+
+    CFG = DEPTH.replace("seeds = 7", "seeds = 7, 8").replace("epochs = 0", "epochs = 2")
+    JOBS = 2 * 3 * 2  # depths x variants x seeds
+
+    @pytest.mark.parametrize("done", [0, 5, 11])
+    def test_interrupted_run_resumes(self, tmp_path, monkeypatch, done):
+        cfg = cli.load_config(self.CFG)
+        reference = tree_bytes(cli.run_experiment(cfg, tmp_path / "a"))
+        monkeypatch.setattr(trainer, "train", CountingTrain(limit=done))
+        with pytest.raises(Interrupted):
+            cli.run_experiment(cfg, tmp_path / "b")
+        out = tmp_path / "b" / cfg.hash_id
+        assert not (out / "results.csv").exists()
+        assert len(list((out / "models").glob("*.json"))) == done
+        train = CountingTrain()
+        monkeypatch.setattr(trainer, "train", train)
+        cli.run_experiment(cfg, tmp_path / "b")
+        assert len(train.seeds) == self.JOBS - done
+        assert tree_bytes(out) == reference
+
+    def test_changed_checkpoint_is_retrained(self, tmp_path, monkeypatch):
+        cfg = cli.load_config(self.CFG)
+        reference = tree_bytes(cli.run_experiment(cfg, tmp_path / "a"))
+        out = cli.run_experiment(cfg, tmp_path / "b")
+        ckpt = out / "models" / "2-linear-8.json"
+        payload = json.loads(ckpt.read_text())
+        payload["layers"][0]["phases"][0] += 1.0
+        ckpt.write_text(json.dumps(payload))
+        train = CountingTrain()
+        monkeypatch.setattr(trainer, "train", train)
+        cli.run_experiment(cfg, tmp_path / "b")
+        assert train.seeds == [8]
+        assert tree_bytes(out) == reference
+
+
 class TestCurvesVerb:
     def test_two_alpha_curve_export(self, tmp_path):
         text = "[curves]\nalphas = 20, 40\nsamples = 50\n"
@@ -372,6 +443,12 @@ class TestCheckVerb:
 
     def test_exit_code(self):
         assert cli.main(["check"]) == 0
+
+    def test_negative_seed_exits_1(self, tmp_path, capsys):
+        assert cli.main(["check", "--seed", "-1"]) == 1
+        assert cli.main(["run", "--seed", "-3", "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.count("config error:") == 2
+        assert not (tmp_path / "out").exists()
 
     def test_module_run_raises_no_runtime_warning(self):
         # importing the package must not pre-import emstack.cli, or runpy warns
