@@ -561,16 +561,20 @@ def sweep_points(cfg: ExperimentConfig) -> list:
 
 def _run_job(cfg, point, seed, geometry, propagation, dataset, out_dir) -> trainer.EvalResult:
     """Train and test ``point`` at ``seed``; its history, then its
-    checkpoint, which marks the job done.  A saved checkpoint is tested
-    again and kept if its RMSE is the stored one bit for bit; any other
-    came from other code, so the job retrains.  Returns the test result."""
+    checkpoint, which marks the job done.  A saved checkpoint that loads is
+    tested again and kept if its RMSE is the stored one bit for bit; any
+    other came from other code, so the job retrains.  Returns the test result."""
     name = f"{point.value}-{point.variant}-{seed}"
     ckpt = out_dir / "models" / f"{name}.json"
     if ckpt.exists():
-        model, extra = simnet.load_checkpoint(ckpt, propagation)
-        test = trainer.evaluate(model, dataset, dataset.split.test)
-        if test.rmse == extra.get("test_rmse_m"):
-            return test
+        try:
+            model, extra = simnet.load_checkpoint(ckpt, propagation)
+        except (KeyError, TypeError, ValueError):  # another format or geometry, or not JSON
+            pass
+        else:
+            test = trainer.evaluate(model, dataset, dataset.split.test)
+            if test.rmse == extra.get("test_rmse_m"):
+                return test
     point_cfg = _variant_config(cfg, point.variant)
     model = build_model(point_cfg, geometry, propagation, dataset, seed, point.nl_position)
     try:

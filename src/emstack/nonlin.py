@@ -238,7 +238,8 @@ class Activation:
     """Envelope amplitude map C[v] with derivatives, applied phase-preserving.
 
     ``value`` and ``derivative`` broadcast over amplitude and bias
-    arrays.  ``bias_derivative`` returns None for families whose
+    arrays; ``linearize`` returns both, from one table lookup for a
+    table.  ``bias_derivative`` returns None for families whose
     operating point is frozen at construction; the backward pass treats
     that as "bias not trainable here".
     """
@@ -256,6 +257,10 @@ class Activation:
 
     def bias_derivative(self, v, bias=0.0):
         return None
+
+    def linearize(self, v, bias=0.0):
+        """(C[v], C'[v]), bitwise equal to ``value`` and ``derivative``."""
+        return self.value(v, bias), self.derivative(v, bias)
 
     def apply(self, x, bias=0.0):
         """sigma(x) = C[|x|] exp(j arg x); exactly 0 at x = 0."""
@@ -386,8 +391,7 @@ class FittedRelu(Activation):
         e = self._excess(v, bias)
         return self.gain * (np.where(e > 0, 1.0, 0.0) + np.where(e == 0, 0.5, 0.0))
 
-    def bias_derivative(self, v, bias=0.0):
-        return self.derivative(v, bias)
+    bias_derivative = derivative  # C depends on v + bias only
 
 
 class TabulatedActivationSet(Activation):
@@ -415,46 +419,47 @@ class TabulatedActivationSet(Activation):
             raise ValueError("grid must be strictly increasing with >= 2 points")
         self.grid = grid
         self.values = values
-        self._slopes = np.diff(values, axis=1) / np.diff(grid)
+        slopes = np.diff(values, axis=1) / np.diff(grid)
+        # per knot: the slope of the segment to its right, 0 beyond the last
+        self._slopes = np.concatenate([slopes, np.zeros((len(values), 1))], axis=1)
         knot = np.empty_like(values)
-        knot[:, 0] = self._slopes[:, 0]
+        knot[:, 0] = slopes[:, 0]
         knot[:, -1] = 0.0
-        knot[:, 1:-1] = 0.5 * (self._slopes[:, :-1] + self._slopes[:, 1:])
+        knot[:, 1:-1] = 0.5 * (slopes[:, :-1] + slopes[:, 1:])
         self._knot_slopes = knot
 
     @property
     def num_cells(self) -> int:
         return self.values.shape[0]
 
-    def _locate(self, v):
+    def _interpolate(self, v, bias):
+        """v, the index of the last knot <= v (0 below the grid), its flat
+        index into the raveled (num_cells, grid size) tables, and C[v]."""
+        self._require_zero_bias(bias)
         v = np.asarray(v, dtype=float)
         if self.num_cells == 1:
-            cells = 0
+            row = 0
         elif v.ndim == 0 or v.shape[-1] != self.num_cells:
             raise ValueError("trailing axis must index the cells")
         else:
-            cells = np.arange(self.num_cells)
-        seg = np.clip(np.searchsorted(self.grid, v, side="right") - 1, 0, self._slopes.shape[1] - 1)
-        return v, seg, cells
-
-    def value(self, v, bias=0.0):
-        self._require_zero_bias(bias)
-        v, seg, cells = self._locate(v)
+            row = np.arange(self.num_cells) * self.grid.size
+        knot = np.maximum(np.searchsorted(self.grid, v, side="right") - 1, 0)
+        seg = np.minimum(knot, self.grid.size - 2)
         left = self.grid[seg]
         t = np.clip((v - left) / (self.grid[seg + 1] - left), 0.0, 1.0)
-        v0 = self.values[cells, seg]
-        v1 = self.values[cells, seg + 1]
-        return v0 * (1.0 - t) + v1 * t
+        values, at = self.values.ravel(), row + seg
+        return v, knot, row + knot, values[at] * (1.0 - t) + values[at + 1] * t
+
+    def value(self, v, bias=0.0):
+        return self._interpolate(v, bias)[-1]
+
+    def linearize(self, v, bias=0.0):
+        v, knot, at, value = self._interpolate(v, bias)
+        on_knot = self.grid[knot] == v
+        return value, np.where(on_knot, self._knot_slopes.ravel()[at], self._slopes.ravel()[at])
 
     def derivative(self, v, bias=0.0):
-        self._require_zero_bias(bias)
-        v, seg, cells = self._locate(v)
-        out = self._slopes[cells, seg]
-        out = np.where(v >= self.grid[-1], 0.0, out)
-        knot_idx = np.searchsorted(self.grid, v)
-        safe = np.minimum(knot_idx, self.grid.size - 1)
-        on_knot = (knot_idx < self.grid.size) & (self.grid[safe] == v)
-        return np.where(on_knot, self._knot_slopes[cells, safe], out)
+        return self.linearize(v, bias)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -287,15 +287,21 @@ class ForwardTrace:
 
     ``pre_activation[i]`` is the field after the coupling into
     layer i+1 and before its phase shift or nonlinearity, so
-    ``pre_activation[0]`` is the input field.
+    ``pre_activation[0]`` is the input field.  ``linearization[i]`` of
+    a nonlinear layer i+1 holds the slope C'[|z|] and the secant
+    C[|z|]/|z| (C[0] at z = 0) of one ``linearize`` call; :func:`backward`
+    uses them and evaluates no activation value or derivative again.
     """
 
     pre_activation: list = field(default_factory=list)
     output_field: np.ndarray | None = None
+    linearization: dict = field(default_factory=dict)
 
 
-def _layer_fields(model: SimModel, x: np.ndarray):
-    """Yield each layer's pre-activation in order, then the output field."""
+def _layer_fields(model: SimModel, x: np.ndarray, linearization: dict | None = None):
+    """Yield each layer's pre-activation in order, then the output field.
+    With a ``linearization`` dict, nonlinear layers use ``linearize`` (the
+    same bits as ``apply``) and store their (slope, secant) in it."""
     m = model.geometry.num_cells
     if x.shape[-1] != m:
         raise ValueError(f"input trailing axis {x.shape[-1]} != cell count {m}")
@@ -305,16 +311,22 @@ def _layer_fields(model: SimModel, x: np.ndarray):
         yield z
         if isinstance(layer, LinearLayer):
             x = np.exp(1j * layer.phases) * z
-        else:
+        elif linearization is None:
             x = layer.activation.apply(z, layer.biases)
+        else:
+            rho, x = nonlin.polar(z)
+            amp, slope = layer.activation.linearize(rho, layer.biases)
+            x *= np.broadcast_to(amp, x.shape)
+            linearization[i] = (slope, amp / np.where(rho > 0.0, rho, 1.0))
     yield x @ model.propagation.output.T
 
 
 def forward(model: SimModel, input_field) -> ForwardTrace:
     """Run the field recursion; accepts (..., M) batches."""
     x = np.asarray(input_field, dtype=complex)
-    *pre_activation, output_field = _layer_fields(model, x)
-    return ForwardTrace(pre_activation, output_field)
+    linearization = {}
+    *pre_activation, output_field = _layer_fields(model, x, linearization)
+    return ForwardTrace(pre_activation, output_field, linearization)
 
 
 # Rows per block of :func:`amplitudes`; the default training batch, so a
@@ -421,11 +433,9 @@ def backward(model: SimModel, trace: ForwardTrace, output_cotangent) -> Gradient
         else:
             act, biases = layer.activation, layer.biases
             rho, direction = nonlin.polar(z)
-            safe_rho = np.where(rho > 0.0, rho, 1.0)
-            amp = np.asarray(act.value(rho, biases), dtype=float)
-            slope = np.asarray(act.derivative(rho, biases), dtype=float)
+            slope, secant = trace.linearization[i]
             u = np.conj(cot_x) * direction
-            cot_z = direction * (slope * np.real(u) - 1j * (amp / safe_rho) * np.imag(u))
+            cot_z = direction * (slope * np.real(u) - 1j * secant * np.imag(u))
             if layer.trainable:
                 dc_db = act.bias_derivative(rho, biases)
                 if dc_db is None:
@@ -537,8 +547,9 @@ def model_to_dict(model: SimModel) -> dict:
 
 
 def model_from_dict(data: dict, propagation: Propagation | None = None) -> SimModel:
-    if data.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"unrecognized checkpoint format {data.get('format')!r}")
+    fmt = data.get("format") if isinstance(data, dict) else None
+    if fmt != CHECKPOINT_FORMAT:
+        raise ValueError(f"unrecognized checkpoint format {fmt!r}")
     geometry = emfield.build_geometry(**data["geometry"])
     layers = [_layer_from_dict(entry) for entry in data["layers"]]
     return assemble_model(geometry, layers, propagation, data.get("readout_scale"))

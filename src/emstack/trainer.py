@@ -342,6 +342,8 @@ def train(
             grads = simnet.backward(model, trace, cot)
             adam_step(model, grads, state, config)
             sq_error_sum += loss * chunk.size
+            # free this step's arrays before the next forward makes its own
+            del trace, cot, grads
         train_loss = sq_error_sum / n_train
         val_rmse = evaluate(model, dataset, dataset.split.validation).rmse
         best.history.append(EpochRecord(epoch, train_loss, val_rmse))

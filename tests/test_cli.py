@@ -397,6 +397,34 @@ class TestResume:
         assert train.seeds == [8]
         assert tree_bytes(out) == reference
 
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda text: text.replace("emstack-checkpoint-1", "emstack-checkpoint-0"),
+            lambda text: text[: len(text) // 2],  # not JSON
+            lambda text: "[]",  # JSON, but not an object
+            lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "layers"}),
+            lambda text: json.dumps({**json.loads(text), "layers": 5}),
+            lambda text: text.replace('"cells_per_side": 4', '"cells_per_side": 5'),
+        ],
+        ids=["format", "truncated", "list", "no-layers", "layers-not-a-list", "geometry"],
+    )
+    def test_checkpoint_that_does_not_load_is_retrained(self, tmp_path, monkeypatch, damage):
+        cfg = cli.load_config(self.CFG)
+        reference = tree_bytes(cli.run_experiment(cfg, tmp_path / "a"))
+        out = cli.run_experiment(cfg, tmp_path / "b")
+        ckpt = out / "models" / "2-trainable-7.json"
+        text = ckpt.read_text()
+        ckpt.write_text(damage(text))
+        assert ckpt.read_text() != text
+        train = CountingTrain()
+        monkeypatch.setattr(trainer, "train", train)
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(self.CFG)
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "b")]) == 0
+        assert train.seeds == [7]
+        assert tree_bytes(out) == reference
+
 
 class TestCurvesVerb:
     def test_two_alpha_curve_export(self, tmp_path):

@@ -378,6 +378,110 @@ class TestTabulatedActivation:
         assert act.bias_derivative(1.0) is None
 
 
+def _two_search_lookup(act, v):
+    """C[v] and C'[v] of a table by the lookup it used before
+    ``linearize``: 2-D gathers, the segment slope zeroed at and beyond
+    the last knot, and a second, left-side search for amplitudes on a
+    knot, where the slope is the average of the adjacent segments."""
+    grid, values = act.grid, act.values
+    slopes = np.diff(values, axis=1) / np.diff(grid)
+    knot_slopes = np.concatenate(
+        [slopes[:, :1], 0.5 * (slopes[:, :-1] + slopes[:, 1:]), np.zeros((len(values), 1))],
+        axis=1,
+    )
+    cells = 0 if len(values) == 1 else np.arange(len(values))
+    seg = np.clip(np.searchsorted(grid, v, side="right") - 1, 0, grid.size - 2)
+    left = grid[seg]
+    t = np.clip((v - left) / (grid[seg + 1] - left), 0.0, 1.0)
+    value = values[cells, seg] * (1.0 - t) + values[cells, seg + 1] * t
+    slope = np.where(v >= grid[-1], 0.0, slopes[cells, seg])
+    knot = np.searchsorted(grid, v)
+    safe = np.minimum(knot, grid.size - 1)
+    on_knot = (knot < grid.size) & (grid[safe] == v)
+    return value, np.where(on_knot, knot_slopes[cells, safe], slope)
+
+
+def _table_amplitudes(grid, rng, shape=(64, 16)):
+    """Amplitudes on interior knots, on grid[0] = 0, on grid[-1], beyond
+    the grid and between knots, mixed at random."""
+    k = rng.integers(1, grid.size - 1, shape)
+    cases = np.stack([
+        grid[k],
+        np.zeros(shape),
+        np.full(shape, grid[-1]),
+        grid[-1] * rng.uniform(1.0, 3.0, shape),
+        grid[k] + rng.uniform(0.0, 1.0, shape) * (grid[k + 1] - grid[k]),
+    ])
+    return np.take_along_axis(cases, rng.integers(0, len(cases), (1, *shape)), axis=0)[0]
+
+
+# one instance of every registered activation kind, at a nonzero bias
+# where the family has one
+LINEARIZE_CASES = {
+    "constant_amplitude": nonlin.ConstantAmplitude(4 / np.pi),
+    "power": nonlin.PowerLowpass(3, 0.75),
+    "shifted_relu_lowpass": nonlin.ShiftedReluLowpass(shift=np.linspace(-0.2, 0.2, 16), gain=1.1),
+    "fitted_relu": nonlin.FittedRelu(gain=np.linspace(0.3, 0.6, 16), knee=0.25),
+    "tabulated_set": nonlin.TabulatedActivationSet(
+        np.linspace(0.0, 1.0, 9), np.cumsum(np.arange(16 * 9).reshape(16, 9) % 5, axis=1) / 9.0
+    ),
+}
+
+
+class TestLinearize:
+    """``linearize(v, b)`` is ``(value(v, b), derivative(v, b))`` bit for bit."""
+
+    def test_every_kind_is_covered(self):
+        assert set(LINEARIZE_CASES) == set(nonlin._ACTIVATION_KINDS)
+
+    @pytest.mark.parametrize("kind", sorted(LINEARIZE_CASES))
+    def test_equals_value_and_derivative(self, kind):
+        act = LINEARIZE_CASES[kind]
+        rng = np.random.default_rng(5)
+        v = rng.uniform(0.0, 1.2, (64, 16))
+        v[0] = 0.0
+        v[1] = 0.25  # the fitted knee
+        bias = -rng.uniform(0.0, 0.1, 16) if act.supports_bias else 0.0
+        value, slope = act.linearize(v, bias)
+        assert np.array_equal(value, act.value(v, bias))
+        assert np.array_equal(slope, act.derivative(v, bias))
+
+    @pytest.mark.parametrize("cells", [1, 16])
+    def test_table_matches_the_two_search_lookup(self, cells):
+        rng = np.random.default_rng(cells)
+        grid = nonlin.tabulation_grid(1.0, 512)
+        values = np.cumsum(rng.uniform(0.0, 1e-3, (cells, grid.size)), axis=1)
+        values[:, :3] = 0.0  # a flat start, as in diode cutoff
+        act = nonlin.TabulatedActivationSet(grid, values)
+        v = _table_amplitudes(grid, rng)
+        want_value, want_slope = _two_search_lookup(act, v)
+        value, slope = act.linearize(v)
+        assert np.array_equal(value, want_value)
+        assert np.array_equal(slope, want_slope)
+        assert np.array_equal(act.value(v), want_value)
+        assert np.array_equal(act.derivative(v), want_slope)
+        for row in range(len(v)):  # a batch row is the row alone
+            alone = act.linearize(v[row])
+            assert np.array_equal(alone[0], value[row]) and np.array_equal(alone[1], slope[row])
+        if cells == 1:
+            for s in (0.0, grid[7], 0.5 * (grid[7] + grid[8]), grid[-1], 2.0):
+                got, want = act.linearize(s), _two_search_lookup(act, np.float64(s))
+                assert np.ndim(got[0]) == np.ndim(got[1]) == 0
+                assert got[0] == want[0] and got[1] == want[1], s
+
+    def test_table_does_one_search_per_call(self, monkeypatch):
+        act = LINEARIZE_CASES["tabulated_set"]
+        real, calls = np.searchsorted, []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("side", "left"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, "searchsorted", counted)
+        act.linearize(np.full((4, 16), 0.5))
+        assert calls == ["right"]
+
+
 class TestReluFit:
     def test_self_fit_recovers_parameters(self):
         target = nonlin.FittedRelu(gain=0.7, knee=0.33)

@@ -458,34 +458,39 @@ class TestProperties:
         )
 
 
-def blocked_model(n):
-    """Phase, nonlinear, phase: three layers on the shared propagation."""
+def blocked_model(n, table=False):
+    """Phase, nonlinear, phase: three layers on the shared propagation.
+    The nonlinear layer is a fitted ReLU with biases, or with ``table`` a
+    per-cell :class:`nonlin.TabulatedActivationSet` of one curve per cell."""
     geom = spaced_geometry(n, num_layers=3)
     m = geom.num_cells
     rng = np.random.default_rng(n)
-    layers = [
-        simnet.uniform_phase_layer(m, rng),
-        simnet.NonlinearLayer(nonlin.FittedRelu(gain=0.5), -rng.uniform(0.0, 0.5, m)),
-        simnet.uniform_phase_layer(m, rng),
-    ]
+    if table:
+        grid = nonlin.tabulation_grid(2.0, 64)
+        gains = rng.uniform(0.3, 0.6, (m, 1))
+        nl = simnet.NonlinearLayer(nonlin.TabulatedActivationSet(grid, gains * np.sqrt(grid)), np.zeros(m))
+    else:
+        nl = simnet.NonlinearLayer(nonlin.FittedRelu(gain=0.5), -rng.uniform(0.0, 0.5, m))
+    layers = [simnet.uniform_phase_layer(m, rng), nl, simnet.uniform_phase_layer(m, rng)]
     return simnet.assemble_model(geom, layers, shared_propagation(n))
 
 
 class TestAmplitudes:
     @pytest.mark.parametrize("n", [4, 28, 40])
     def test_matches_traced_forward_bit_for_bit(self, n):
-        model = blocked_model(n)
-        rng = np.random.default_rng(11)
-        fields = random_field(rng, (300, n * n))
-        for count in (1, 63, 64, 65, 129):
-            rows = rng.permutation(300)[:count]  # unsorted
-            trace = simnet.forward(model, fields[rows])
-            got = simnet.amplitudes(model, fields, rows)
-            assert got.shape == (count, 2)
-            assert np.array_equal(got, np.abs(trace.output_field))
-            for k in range(1, model.num_layers + 1):
-                got = simnet.amplitudes(model, fields, rows, layer=k)
-                assert np.array_equal(got, np.abs(trace.pre_activation[k - 1]))
+        # amplitudes applies each activation, the traced forward linearizes it
+        for model in (blocked_model(n), blocked_model(n, table=True)):
+            rng = np.random.default_rng(11)
+            fields = random_field(rng, (300, n * n))
+            for count in (1, 63, 64, 65, 129):
+                rows = rng.permutation(300)[:count]  # unsorted
+                trace = simnet.forward(model, fields[rows])
+                got = simnet.amplitudes(model, fields, rows)
+                assert got.shape == (count, 2)
+                assert np.array_equal(got, np.abs(trace.output_field))
+                for k in range(1, model.num_layers + 1):
+                    got = simnet.amplitudes(model, fields, rows, layer=k)
+                    assert np.array_equal(got, np.abs(trace.pre_activation[k - 1]))
 
     def test_empty_rows_and_bad_arguments(self):
         model = blocked_model(4)
@@ -723,6 +728,81 @@ class TestBackward:
             bias_sum += g.bias[2]
         np.testing.assert_allclose(total.phase[1], phase_sum, rtol=1e-12)
         np.testing.assert_allclose(total.bias[2], bias_sum, rtol=1e-10, atol=1e-300)
+
+
+def reference_backward(model, trace, output_cotangent):
+    """:func:`simnet.backward` evaluating each nonlinear layer's value and
+    derivative again from ``trace.pre_activation``, as it did before the
+    forward pass kept them."""
+    cot_x = np.asarray(output_cotangent, dtype=complex) @ np.conj(model.propagation.output)
+    grads = simnet.GradientSet()
+    for i in range(model.num_layers - 1, -1, -1):
+        layer, z = model.layers[i], trace.pre_activation[i]
+        if isinstance(layer, simnet.LinearLayer):
+            phi = np.exp(1j * layer.phases)
+            if layer.trainable:
+                rows = (-1, z.shape[-1])
+                batch_dot = np.einsum("bm,bm->m", np.conj(cot_x).reshape(rows), z.reshape(rows))
+                grads.phase[i + 1] = -np.imag(phi * batch_dot)
+            cot_z = np.conj(phi) * cot_x
+        else:
+            act, biases = layer.activation, layer.biases
+            rho, direction = nonlin.polar(z)
+            safe_rho = np.where(rho > 0.0, rho, 1.0)
+            amp = np.asarray(act.value(rho, biases), dtype=float)
+            slope = np.asarray(act.derivative(rho, biases), dtype=float)
+            u = np.conj(cot_x) * direction
+            cot_z = direction * (slope * np.real(u) - 1j * (amp / safe_rho) * np.imag(u))
+            if layer.trainable:
+                dc_db = np.asarray(act.bias_derivative(rho, biases)) * np.real(u)
+                grads.bias[i + 1] = dc_db.reshape(-1, dc_db.shape[-1]).sum(axis=0)
+        cot_x = cot_z if i == 0 else model.propagation.interlayer.adjoint(cot_z)
+    return grads
+
+
+class TestLinearizedBackward:
+    """backward takes each nonlinear layer's slope and secant from the
+    trace and equals the reference that evaluates them again."""
+
+    def _model(self, kind, rng):
+        geom = spaced_geometry(3, num_layers=3)
+        m = geom.num_cells
+        if kind == "diode-table":  # fabrication-random diode cells, frozen
+            tables = [
+                nonlin.diode_activation(nonlin.DiodeCircuitParams(alpha_per_volt=a), n_points=512)
+                for a in rng.uniform(20.0, 40.0, m)
+            ]
+            values = np.concatenate([t.values for t in tables])
+            nl = simnet.NonlinearLayer(nonlin.TabulatedActivationSet(tables[0].grid, values), np.zeros(m))
+        else:
+            act = nonlin.FittedRelu(gain=rng.uniform(0.3, 0.6, m), knee=0.2)
+            nl = simnet.NonlinearLayer(act, -rng.uniform(0.0, 0.3, m), trainable=True)
+        layers = [simnet.uniform_phase_layer(m, rng), nl, simnet.uniform_phase_layer(m, rng)]
+        return simnet.assemble_model(geom, layers)
+
+    @pytest.mark.parametrize("kind", ["diode-table", "fitted-relu"])
+    def test_matches_reference_bit_for_bit(self, kind, monkeypatch):
+        rng = np.random.default_rng(31)
+        model = self._model(kind, rng)
+        x = random_field(rng, (64, model.geometry.num_cells))
+        x[0] = 0.0  # zero amplitudes at the nonlinear layer: secant 0
+        trace = simnet.forward(model, x)
+        _, cot = quadratic_loss(random_field(rng, (64, 2)))(trace.output_field)
+        want = reference_backward(model, trace, cot)
+        assert set(trace.linearization) == {1}
+        act = type(model.layers[1].activation)
+
+        def evaluated(*args, **kwargs):
+            raise AssertionError("backward evaluated the activation again")
+
+        for name in ("value", "derivative", "linearize"):
+            monkeypatch.setattr(act, name, evaluated)
+        got = simnet.backward(model, trace, cot)
+        assert got.phase.keys() == want.phase.keys() == {1, 3}
+        assert got.bias.keys() == want.bias.keys() == ({2} if kind == "fitted-relu" else set())
+        for table in ("phase", "bias"):
+            for k, grad in getattr(want, table).items():
+                assert np.array_equal(getattr(got, table)[k], grad), (table, k)
 
 
 class TestFiniteDifference:

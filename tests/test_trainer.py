@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -359,6 +360,20 @@ class TestTrainLoop:
         result = trainer.train(model, ds, cfg)
         assert len(result.history) == 2
         assert np.all(model.layers[1].biases <= 0.0)
+
+    def test_each_trace_is_released_before_the_next_forward(self, monkeypatch):
+        _, model, ds = self._setup(count=100)
+        real, traces = simnet.forward, []
+
+        def forward(model, input_field):
+            assert all(ref() is None for ref in traces), "an earlier trace is still alive"
+            trace = real(model, input_field)
+            traces.append(weakref.ref(trace))
+            return trace
+
+        monkeypatch.setattr(simnet, "forward", forward)
+        trainer.train(model, ds, trainer.TrainConfig(epochs=2, batch_size=32))
+        assert len(traces) == 2 * math.ceil(ds.split.train.size / 32)
 
     def test_infinite_loss_counts_as_divergence(self, monkeypatch):
         _, model, ds = self._setup(count=100)
