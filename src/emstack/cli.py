@@ -345,17 +345,18 @@ def _make_activation(cfg: ExperimentConfig, num_cells: int, rng: np.random.Gener
     alphas = nonlin.sample_static_alphas(
         num_cells, (mo["alpha_min"], mo["alpha_max"]), rng
     )
-    tables = [
+    # only each cell's curve: its one-row table and knot locator would add
+    # about 0.1 MB per cell to the peak while the other cells tabulate
+    values = [
         nonlin.diode_activation(
             nonlin.DiodeCircuitParams(alpha_per_volt=a),
             v_max=1.0,
             n_points=mo["table_points"],
-        )
+        ).values
         for a in alphas
     ]
-    return nonlin.TabulatedActivationSet(
-        tables[0].grid, np.concatenate([t.values for t in tables])
-    )
+    grid = nonlin.tabulation_grid(1.0, mo["table_points"])  # diode_activation's grid
+    return nonlin.TabulatedActivationSet(grid, np.concatenate(values))
 
 
 def build_model(
@@ -783,6 +784,18 @@ def self_check(seed: int = 0, stream=None) -> bool:
             trig_err = max(trig_err, np.max(np.abs(got - want)) / np.max(np.abs(want)))
     detail = f"max rel err {trig_err:.2e} at 29 and 40 cells"
     checks.append(("trig coupling vs dense", trig_err < 1e-12, detail))
+
+    # the table's knot locator against a binary search: every knot, the
+    # floats either side of it, both zeros and amplitudes past the grid
+    misses = 0
+    for grid in (nonlin.tabulation_grid(1.0, 512), nonlin.tabulation_grid(1.0, 2048),
+                 np.linspace(0.0, 2.0, 300)):
+        v = np.concatenate([grid, np.nextafter(grid, -np.inf), np.nextafter(grid, np.inf),
+                            [0.0, -0.0, 1.5 * grid[-1], np.inf]])
+        want = np.maximum(np.searchsorted(grid, v, side="right") - 1, 0)
+        got = nonlin.TabulatedActivationSet(grid, np.zeros((1, grid.size)))._locate(v)
+        misses += int(np.count_nonzero(got != want))
+    checks.append(("table knot locator vs search", misses == 0, f"{misses} misses on 3 grids"))
 
     all_ok = True
     for name, ok, detail in checks:

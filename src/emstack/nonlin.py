@@ -20,6 +20,7 @@ as an extra argument so one family serves a whole layer of cells.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -241,10 +242,13 @@ class Activation:
     arrays; ``linearize`` returns both, from one table lookup for a
     table.  ``bias_derivative`` returns None for families whose
     operating point is frozen at construction; the backward pass treats
-    that as "bias not trainable here".
+    that as "bias not trainable here".  A family whose C depends on
+    v + bias only sets ``slope_is_bias_derivative``: its bias derivative
+    is its slope, which the backward pass then reuses.
     """
 
     supports_bias = False
+    slope_is_bias_derivative = False
     # checkpoint descriptor: the kind, then these constructor arguments
     kind = None
     param_names = ()
@@ -256,7 +260,7 @@ class Activation:
         raise NotImplementedError
 
     def bias_derivative(self, v, bias=0.0):
-        return None
+        return self.derivative(v, bias) if self.slope_is_bias_derivative else None
 
     def linearize(self, v, bias=0.0):
         """(C[v], C'[v]), bitwise equal to ``value`` and ``derivative``."""
@@ -269,7 +273,7 @@ class Activation:
         return out
 
     def _require_zero_bias(self, bias):
-        if np.any(np.asarray(bias) != 0.0):
+        if np.asarray(bias).any():
             raise NotImplementedError(f"{type(self).__name__} has no operating-point shift")
 
 
@@ -376,6 +380,7 @@ class FittedRelu(Activation):
     kind = "fitted_relu"
     param_names = ("gain", "knee")
     supports_bias = True
+    slope_is_bias_derivative = True  # C depends on v + bias only
 
     def __init__(self, gain, knee=0.0):
         self.gain = _scalar_or_array(gain)
@@ -391,8 +396,6 @@ class FittedRelu(Activation):
         e = self._excess(v, bias)
         return self.gain * (np.where(e > 0, 1.0, 0.0) + np.where(e == 0, 0.5, 0.0))
 
-    bias_derivative = derivative  # C depends on v + bias only
-
 
 class TabulatedActivationSet(Activation):
     """Tabulated curves C[v] sharing one amplitude grid.
@@ -405,6 +408,12 @@ class TabulatedActivationSet(Activation):
     and the average of the adjacent slopes at a knot.  Beyond the last
     knot the value is clamped and the derivative is zero.  The operating
     point is frozen at tabulation time, so there is no bias derivative.
+
+    The grid starts at an amplitude >= 0, whose int64 bits increase with
+    its value, so :meth:`_locate` finds the knot of v in O(1): v's bits,
+    shifted right, index a bucket; ``_start`` holds the last knot at or
+    below each bucket's lower edge, and ``_steps`` compare-and-step
+    passes (the most knots any bucket holds; 1 on tabulation grids) finish.
     """
 
     kind = "tabulated_set"
@@ -415,48 +424,76 @@ class TabulatedActivationSet(Activation):
         values = np.asarray(values, dtype=float)
         if grid.ndim != 1 or values.ndim != 2 or values.shape[1] != grid.size:
             raise ValueError("values must be (num_cells, len(grid))")
-        if grid.size < 2 or np.any(np.diff(grid) <= 0):
+        if grid.size < 2 or not np.all(np.diff(grid) > 0):
             raise ValueError("grid must be strictly increasing with >= 2 points")
+        if np.signbit(grid[0]):
+            raise ValueError("grid must start at an amplitude >= 0 (not -0.0)")
         self.grid = grid
         self.values = values
-        slopes = np.diff(values, axis=1) / np.diff(grid)
-        # per knot: the slope of the segment to its right, 0 beyond the last
-        self._slopes = np.concatenate([slopes, np.zeros((len(values), 1))], axis=1)
-        knot = np.empty_like(values)
-        knot[:, 0] = slopes[:, 0]
-        knot[:, -1] = 0.0
-        knot[:, 1:-1] = 0.5 * (slopes[:, :-1] + slopes[:, 1:])
-        self._knot_slopes = knot
+        self._rows = np.arange(len(values)) * grid.size if len(values) > 1 else 0
+        bits = grid.view(np.int64)
+        first, last = int(bits[int(grid[0] == 0.0)]), int(bits[-1])  # first positive knot
+        for shift in range(64):  # the smallest shift with at most 4 buckets per knot
+            low = max(first - (1 << shift), 0)
+            if (last - low) >> shift < 4 * grid.size:
+                break
+        # queries clip into [low, last], so -0.0 and negative values (sign
+        # bit set) land in the first bucket, +inf and NaN in the last
+        self._shift, self._low, self._high = shift, low, last
+        edges = low + (np.arange(((last - low) >> shift) + 1) << shift)
+        self._start = np.maximum(np.searchsorted(bits, edges, side="right") - 1, 0)
+        self._steps = int(np.max(np.diff(self._start, append=grid.size - 1)))
+        # the knot after each knot; NaN after the last compares false even with +inf
+        self._next_knot = np.append(grid[1:], np.nan)
+        self._widths = np.diff(grid)
+        slopes = np.diff(values, axis=1) / self._widths
+        # per knot, interleaved: the slope of the segment to its right, then
+        # the average of the adjacent segments' slopes; both 0 at the last knot
+        table = np.zeros((len(values), grid.size, 2))
+        table[:, :-1, 0] = slopes
+        table[:, 0, 1] = slopes[:, 0]
+        table[:, 1:-1, 1] = 0.5 * (slopes[:, :-1] + slopes[:, 1:])
+        self._slopes = table.ravel()
 
     @property
     def num_cells(self) -> int:
         return self.values.shape[0]
 
+    def _locate(self, v):
+        """Index of the last knot <= v, 0 below the grid: for every v but
+        NaN, max(searchsorted(grid, v, "right") - 1, 0)."""
+        bucket = np.minimum(np.maximum(v.view(np.int64), self._low), self._high)
+        bucket -= self._low
+        bucket >>= self._shift
+        knot = self._start[bucket]
+        for _ in range(self._steps):
+            knot += self._next_knot[knot] <= v
+        return knot
+
     def _interpolate(self, v, bias):
-        """v, the index of the last knot <= v (0 below the grid), its flat
-        index into the raveled (num_cells, grid size) tables, and C[v]."""
+        """The flat index of the last knot <= v (0 below the grid) into
+        the raveled (num_cells, grid size) tables, whether v is on that
+        knot, and C[v]."""
         self._require_zero_bias(bias)
         v = np.asarray(v, dtype=float)
-        if self.num_cells == 1:
-            row = 0
-        elif v.ndim == 0 or v.shape[-1] != self.num_cells:
+        if self.num_cells > 1 and (v.ndim == 0 or v.shape[-1] != self.num_cells):
             raise ValueError("trailing axis must index the cells")
-        else:
-            row = np.arange(self.num_cells) * self.grid.size
-        knot = np.maximum(np.searchsorted(self.grid, v, side="right") - 1, 0)
+        knot = self._locate(v)
         seg = np.minimum(knot, self.grid.size - 2)
-        left = self.grid[seg]
-        t = np.clip((v - left) / (self.grid[seg + 1] - left), 0.0, 1.0)
-        values, at = self.values.ravel(), row + seg
-        return v, knot, row + knot, values[at] * (1.0 - t) + values[at + 1] * t
+        # v - grid[seg] is 0 exactly on knot seg; past the last knot, where
+        # seg = knot - 1, both slopes of the last knot are 0
+        offset = v - self.grid[seg]
+        t = np.clip(offset / self._widths[seg], 0.0, 1.0)
+        values, at = self.values.ravel(), self._rows + seg
+        value = values[at] * (1.0 - t) + values[1:][at] * t  # values[1:][at] is values[at + 1]
+        return self._rows + knot, offset == 0.0, value
 
     def value(self, v, bias=0.0):
         return self._interpolate(v, bias)[-1]
 
     def linearize(self, v, bias=0.0):
-        v, knot, at, value = self._interpolate(v, bias)
-        on_knot = self.grid[knot] == v
-        return value, np.where(on_knot, self._knot_slopes.ravel()[at], self._slopes.ravel()[at])
+        at, on_knot, value = self._interpolate(v, bias)
+        return value, self._slopes[2 * at + on_knot]
 
     def derivative(self, v, bias=0.0):
         return self.linearize(v, bias)[1]
@@ -526,10 +563,15 @@ def tabulation_grid(v_max: float, n_points: int) -> np.ndarray:
     return np.concatenate([lin, log])
 
 
+@functools.cache
 def _gauss_legendre_nodes(n: int):
+    """Angles and weights of the n-node rule on [0, pi], computed once per
+    process and read-only."""
     x, w = np.polynomial.legendre.leggauss(n)
-    phi = (x + 1.0) * (np.pi / 2.0)
-    return phi, w * (np.pi / 2.0)
+    rule = (x + 1.0) * (np.pi / 2.0), w * (np.pi / 2.0)
+    for a in rule:
+        a.setflags(write=False)
+    return rule
 
 
 def diode_activation(

@@ -74,21 +74,23 @@ _TRIG_MIN_CELLS_PER_SIDE = 16
 
 @dataclass(frozen=True, eq=False)
 class DenseCoupling:
-    """Interlayer coupling held as the dense matrix W (small grids)."""
+    """Interlayer coupling held as the dense matrix W and conj(W) (small grids)."""
 
     matrix: np.ndarray
+    conj_matrix: np.ndarray
 
     @classmethod
     def build(cls, geometry: emfield.SimGeometry) -> "DenseCoupling":
-        return cls(emfield.rayleigh_sommerfeld_matrix(geometry, 1, 2).entries)
+        w = emfield.rayleigh_sommerfeld_matrix(geometry, 1, 2).entries
+        return cls(w, np.conj(w))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """x @ W.T over the trailing cell axis."""
         return x @ self.matrix.T
 
     def adjoint(self, c: np.ndarray) -> np.ndarray:
-        """c @ conj(W), without a conjugated copy of W."""
-        return np.conj(np.conj(c) @ self.matrix)
+        """c @ conj(W); bit for bit np.conj(np.conj(c) @ W)."""
+        return c @ self.conj_matrix
 
 
 # Batch rows per TrigCoupling block.  Blocks are padded to it, so every product
@@ -287,21 +289,25 @@ class ForwardTrace:
 
     ``pre_activation[i]`` is the field after the coupling into
     layer i+1 and before its phase shift or nonlinearity, so
-    ``pre_activation[0]`` is the input field.  ``linearization[i]`` of
-    a nonlinear layer i+1 holds the slope C'[|z|] and the secant
-    C[|z|]/|z| (C[0] at z = 0) of one ``linearize`` call; :func:`backward`
-    uses them and evaluates no activation value or derivative again.
+    ``pre_activation[0]`` is the input field.  ``phase_factor[i]`` of a
+    linear layer i+1 is exp(j phases); ``linearization[i]`` of a
+    nonlinear layer i+1 holds the direction z/|z| (0 at z = 0), the slope
+    C'[|z|] and secant C[|z|]/|z| (C[0] at z = 0) of one ``linearize``
+    call, and |z| if the biases train and the slope is not dC/db (else
+    None).  :func:`backward` takes no ``polar`` or ``np.exp`` and calls
+    no activation method but that bias derivative.
     """
 
     pre_activation: list = field(default_factory=list)
     output_field: np.ndarray | None = None
+    phase_factor: dict = field(default_factory=dict)
     linearization: dict = field(default_factory=dict)
 
 
-def _layer_fields(model: SimModel, x: np.ndarray, linearization: dict | None = None):
+def _layer_fields(model: SimModel, x: np.ndarray, trace: ForwardTrace | None = None):
     """Yield each layer's pre-activation in order, then the output field.
-    With a ``linearization`` dict, nonlinear layers use ``linearize`` (the
-    same bits as ``apply``) and store their (slope, secant) in it."""
+    With a ``trace``, nonlinear layers use ``linearize`` (the same bits
+    as ``apply``), and every layer stores what :func:`backward` needs."""
     m = model.geometry.num_cells
     if x.shape[-1] != m:
         raise ValueError(f"input trailing axis {x.shape[-1]} != cell count {m}")
@@ -310,23 +316,30 @@ def _layer_fields(model: SimModel, x: np.ndarray, linearization: dict | None = N
         z = x if i == 0 else model.propagation.interlayer.apply(x)
         yield z
         if isinstance(layer, LinearLayer):
-            x = np.exp(1j * layer.phases) * z
-        elif linearization is None:
+            phi = np.exp(1j * layer.phases)
+            x = phi * z
+            if trace is not None:
+                trace.phase_factor[i] = phi
+        elif trace is None:
             x = layer.activation.apply(z, layer.biases)
         else:
-            rho, x = nonlin.polar(z)
-            amp, slope = layer.activation.linearize(rho, layer.biases)
-            x *= np.broadcast_to(amp, x.shape)
-            linearization[i] = (slope, amp / np.where(rho > 0.0, rho, 1.0))
+            act = layer.activation
+            rho, direction = nonlin.polar(z)
+            amp, slope = act.linearize(rho, layer.biases)
+            x = direction * amp
+            keep_rho = layer.trainable and not act.slope_is_bias_derivative
+            secant = amp / np.where(rho > 0.0, rho, 1.0)
+            trace.linearization[i] = (direction, slope, secant, rho if keep_rho else None)
     yield x @ model.propagation.output.T
 
 
 def forward(model: SimModel, input_field) -> ForwardTrace:
     """Run the field recursion; accepts (..., M) batches."""
-    x = np.asarray(input_field, dtype=complex)
-    linearization = {}
-    *pre_activation, output_field = _layer_fields(model, x, linearization)
-    return ForwardTrace(pre_activation, output_field, linearization)
+    trace = ForwardTrace()
+    *trace.pre_activation, trace.output_field = _layer_fields(
+        model, np.asarray(input_field, dtype=complex), trace
+    )
+    return trace
 
 
 # Rows per block of :func:`amplitudes`; the default training batch, so a
@@ -367,21 +380,24 @@ def amplitudes(model: SimModel, fields: np.ndarray, rows, layer: int | None = No
 def readout(output_field, scale: float, r_bounds) -> tuple:
     """Map the two output amplitudes to (range, azimuth, xy position).
 
-    range = r_min + scale |y_1| (r_max - r_min);
-    azimuth = (2 scale |y_2| - 1) pi/2.  ``output_field`` is the complex
-    field or its magnitudes (:func:`amplitudes`).  Estimates are not
-    clamped; out-of-range values are the loss's problem, not the
-    readout's.
+    ``output_field`` is the complex field or its magnitudes
+    (:func:`amplitudes`).  Estimates are not clamped; out-of-range values
+    are the loss's problem, not the readout's.
     """
-    amp = np.abs(output_field)
+    range_est, azimuth_est = polar_estimates(np.abs(output_field), scale, r_bounds)
+    return range_est, azimuth_est, emfield.plane_xy(range_est, azimuth_est)
+
+
+def polar_estimates(amp, scale: float, r_bounds) -> tuple:
+    """range = r_min + scale |y_1| (r_max - r_min) and
+    azimuth = (2 scale |y_2| - 1) pi/2 of output amplitudes |y|."""
     if amp.shape[-1] != 2:
         raise ValueError("readout requires exactly 2 output antennas")
     if not scale > 0:
         raise ValueError("readout scale must be positive")
     r_min, r_max = float(r_bounds[0]), float(r_bounds[1])
     range_est = r_min + scale * amp[..., 0] * (r_max - r_min)
-    azimuth_est = (2.0 * scale * amp[..., 1] - 1.0) * (np.pi / 2.0)
-    return range_est, azimuth_est, emfield.plane_xy(range_est, azimuth_est)
+    return range_est, (2.0 * scale * amp[..., 1] - 1.0) * (np.pi / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -420,24 +436,24 @@ def backward(model: SimModel, trace: ForwardTrace, output_cotangent) -> Gradient
     cot_x = cot @ np.conj(model.propagation.output)
     for i in range(model.num_layers - 1, -1, -1):
         layer = model.layers[i]
-        z = trace.pre_activation[i]
         if isinstance(layer, LinearLayer):
-            phi = np.exp(1j * layer.phases)
+            phi = trace.phase_factor[i]
             if layer.trainable:
                 # Re[conj(c) j phi z] = -Im(phi conj(c) z), with conj(c) z
                 # summed over the batch before the per-cell phase
+                z = trace.pre_activation[i]
                 rows = (-1, z.shape[-1])
                 batch_dot = np.einsum("bm,bm->m", np.conj(cot_x).reshape(rows), z.reshape(rows))
                 grads.phase[i + 1] = -np.imag(phi * batch_dot)
             cot_z = np.conj(phi) * cot_x
         else:
-            act, biases = layer.activation, layer.biases
-            rho, direction = nonlin.polar(z)
-            slope, secant = trace.linearization[i]
+            act = layer.activation
+            direction, slope, secant, rho = trace.linearization[i]
             u = np.conj(cot_x) * direction
             cot_z = direction * (slope * np.real(u) - 1j * secant * np.imag(u))
             if layer.trainable:
-                dc_db = act.bias_derivative(rho, biases)
+                # forward kept no |z| when the slope is dC/db
+                dc_db = slope if rho is None else act.bias_derivative(rho, layer.biases)
                 if dc_db is None:
                     raise ValueError(
                         f"{type(act).__name__} provides no bias derivative; "

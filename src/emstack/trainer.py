@@ -161,15 +161,14 @@ def adam_step(
     ):
         for layer_index, grad in table.items():
             key = (kind, layer_index)
-            m = state.first.get(key)
-            v = state.second.get(key)
-            if m is None:
-                m = np.zeros_like(grad)
-                v = np.zeros_like(grad)
-            m = config.beta1 * m + (1.0 - config.beta1) * grad
-            v = config.beta2 * v + (1.0 - config.beta2) * grad**2
-            state.first[key] = m
-            state.second[key] = v
+            if key not in state.first:
+                state.first[key], state.second[key] = np.zeros_like(grad), np.zeros_like(grad)
+            # in place: m <- beta1 m + (1 - beta1) g, v <- beta2 v + (1 - beta2) g^2
+            m, v = state.first[key], state.second[key]
+            m *= config.beta1
+            m += (1.0 - config.beta1) * grad
+            v *= config.beta2
+            v += (1.0 - config.beta2) * grad**2
             m_hat = m / (1.0 - config.beta1**t)
             v_hat = v / (1.0 - config.beta2**t)
             delta = rate * m_hat / (np.sqrt(v_hat) + config.epsilon)
@@ -213,18 +212,20 @@ def position_loss_and_cotangent(output_field, positions, scale, r_bounds):
     batch = max(y.shape[0], 1) if y.ndim == 2 else 1
     r_min, r_max = float(r_bounds[0]), float(r_bounds[1])
 
-    range_est, azimuth_est, p_hat = simnet.readout(y, scale, (r_min, r_max))
-    err = p_hat - p_ref
+    amp, direction = nonlin.polar(y)
+    range_est, azimuth_est = simnet.polar_estimates(amp, scale, (r_min, r_max))
+    cos_t, sin_t = np.cos(azimuth_est), np.sin(azimuth_est)
+    # emfield.plane_xy(range_est, azimuth_est), with the cosine and sine kept
+    err = np.stack([range_est * cos_t, range_est * sin_t], axis=-1) - p_ref
     value = float(np.mean(np.sum(err**2, axis=-1)))
 
     d_p = 2.0 * err / batch
-    cos_t, sin_t = np.cos(azimuth_est), np.sin(azimuth_est)
     d_range = d_p[..., 0] * cos_t + d_p[..., 1] * sin_t
     d_azimuth = range_est * (-d_p[..., 0] * sin_t + d_p[..., 1] * cos_t)
     d_amp = np.stack(
         [d_range * scale * (r_max - r_min), d_azimuth * scale * np.pi], axis=-1
     )
-    return value, d_amp * nonlin.polar(y)[1]
+    return value, d_amp * direction
 
 
 # ---------------------------------------------------------------------------

@@ -466,7 +466,7 @@ class TestCheckVerb:
         buf = io.StringIO()
         assert cli.self_check(seed=0, stream=buf)
         lines = buf.getvalue().strip().splitlines()
-        assert len(lines) == 7
+        assert len(lines) == 8
         assert all(line.startswith("PASS") for line in lines)
 
     def test_exit_code(self):
@@ -489,7 +489,7 @@ class TestCheckVerb:
             text=True,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.count("PASS") == 7
+        assert proc.stdout.count("PASS") == 8
 
 
 class TestMlBaselineVerb:

@@ -321,6 +321,11 @@ class TestDiodeActivation:
         act = nonlin.diode_activation(p, v_max=1.0)
         assert np.all(np.diff(act.values) >= -1e-12 * act.values.max())
 
+    def test_quadrature_rule_is_computed_once_and_read_only(self):
+        phi, w = nonlin._gauss_legendre_nodes(nonlin._QUADRATURE_NODES)
+        assert nonlin._gauss_legendre_nodes(nonlin._QUADRATURE_NODES)[0] is phi
+        assert not phi.flags.writeable and not w.flags.writeable
+
     def test_grid_floor_enforced(self):
         p = nonlin.DiodeCircuitParams(alpha_per_volt=33.0)
         with pytest.raises(ValueError):
@@ -370,6 +375,13 @@ class TestTabulatedActivation:
     def test_rejects_bad_grid(self):
         with pytest.raises(ValueError):
             nonlin.TabulatedActivationSet(np.array([0.0, 0.0, 1.0]), np.zeros((1, 3)))
+        with pytest.raises(ValueError, match="increasing"):
+            nonlin.TabulatedActivationSet(np.array([0.0, np.nan, 1.0]), np.zeros((1, 3)))
+        # the knot locator orders amplitudes by their bits, which holds
+        # only without the sign bit
+        for first in (-1e-9, -0.0):
+            with pytest.raises(ValueError, match=">= 0"):
+                nonlin.TabulatedActivationSet(np.array([first, 0.5, 1.0]), np.zeros((1, 3)))
 
     def test_no_bias_support(self):
         act = self.make()
@@ -469,17 +481,58 @@ class TestLinearize:
                 assert np.ndim(got[0]) == np.ndim(got[1]) == 0
                 assert got[0] == want[0] and got[1] == want[1], s
 
-    def test_table_does_one_search_per_call(self, monkeypatch):
+    def test_table_does_no_search(self, monkeypatch):
         act = LINEARIZE_CASES["tabulated_set"]
-        real, calls = np.searchsorted, []
 
-        def counted(*args, **kwargs):
-            calls.append(kwargs.get("side", "left"))
-            return real(*args, **kwargs)
+        def search(*args, **kwargs):
+            raise AssertionError("the table searched its grid")
 
-        monkeypatch.setattr(np, "searchsorted", counted)
+        monkeypatch.setattr(np, "searchsorted", search)
         act.linearize(np.full((4, 16), 0.5))
-        assert calls == ["right"]
+
+
+def _locator_grids():
+    rng = np.random.default_rng(8)
+    clustered = np.unique(np.concatenate([[0.0, 2.0], 1.0 + 1e-9 * rng.standard_normal(200)]))
+    return {
+        "tabulation-512": nonlin.tabulation_grid(1.0, 512),
+        "tabulation-2048": nonlin.tabulation_grid(1.0, 2048),
+        "tabulation-8192": nonlin.tabulation_grid(1.0, 8192),
+        "linspace": np.linspace(0.0, 3.0, 100),
+        "random": np.unique(np.concatenate([[0.0], rng.uniform(0.0, 5.0, 300)])),
+        "positive-start": np.unique(rng.uniform(0.5, 5.0, 300)),
+        "clustered": clustered,
+        "two-knots": np.array([0.0, 1.0]),
+        "subnormal-to-huge": np.array([0.0, 5e-324, 1e-300, 1e300]),
+    }
+
+
+class TestKnotLocator:
+    """The O(1) knot locator is max(searchsorted(grid, v, "right") - 1, 0)."""
+
+    @pytest.mark.parametrize("name", sorted(_locator_grids()))
+    def test_matches_searchsorted(self, name):
+        grid = _locator_grids()[name]
+        act = nonlin.TabulatedActivationSet(grid, np.zeros((1, grid.size)))
+        rng = np.random.default_rng(grid.size)
+        queries = np.concatenate([
+            grid, np.nextafter(grid, np.inf), np.nextafter(grid, -np.inf),
+            [0.0, -0.0, -1.0, -np.inf, 5e-324, grid[-1] * 1.5, 1e300, np.inf],
+            rng.uniform(0.0, 1.2 * grid[-1], 1000),
+        ])
+        want = np.maximum(np.searchsorted(grid, queries, side="right") - 1, 0)
+        assert np.array_equal(act._locate(queries), want)
+        assert act._start.size <= 4 * grid.size
+        assert act._steps == 1 or not name.startswith("tabulation")
+        for q, w in zip(queries[::7], want[::7]):  # 0-d queries
+            assert act._locate(np.asarray(q)) == w
+
+    def test_nan_amplitude_gives_nan_value(self):
+        grid = nonlin.tabulation_grid(1.0, 512)
+        act = nonlin.TabulatedActivationSet(grid, np.sqrt(grid)[None, :] + 1.0)
+        value, _ = act.linearize(np.array([np.nan, 0.25, np.inf]))
+        assert np.isnan(value[0]) and value[2] == act.values[0, -1]
+        assert np.isnan(act.value(np.nan))
 
 
 class TestReluFit:

@@ -297,6 +297,14 @@ class TestCouplingOperator:
                 assert got.shape == shape
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("n", [4, 8, 15])
+    def test_dense_adjoint_is_the_conjugated_product(self, n):
+        op = simnet.DenseCoupling.build(spaced_geometry(n))
+        rng = np.random.default_rng(n)
+        for shape in [(n * n,), (1, n * n), (64, n * n)]:
+            c = random_field(rng, shape)
+            assert np.array_equal(op.adjoint(c), np.conj(np.conj(c) @ op.matrix))
+
     def test_backends_agree_through_forward_and_backward(self):
         geom = spaced_geometry(4, num_layers=4)
         m = geom.num_cells
@@ -761,8 +769,9 @@ def reference_backward(model, trace, output_cotangent):
 
 
 class TestLinearizedBackward:
-    """backward takes each nonlinear layer's slope and secant from the
-    trace and equals the reference that evaluates them again."""
+    """backward takes each layer's phase factor, and each nonlinear
+    layer's direction, slope and secant, from the trace and equals the
+    reference that evaluates them again."""
 
     def _model(self, kind, rng):
         geom = spaced_geometry(3, num_layers=3)
@@ -774,13 +783,16 @@ class TestLinearizedBackward:
             ]
             values = np.concatenate([t.values for t in tables])
             nl = simnet.NonlinearLayer(nonlin.TabulatedActivationSet(tables[0].grid, values), np.zeros(m))
+        elif kind == "smooth":  # a bias derivative of its own: forward keeps |z|
+            act = nonlin.ShiftedReluLowpass(shift=rng.uniform(-0.2, 0.2, m), gain=0.7)
+            nl = simnet.NonlinearLayer(act, -rng.uniform(0.0, 0.3, m), trainable=True)
         else:
             act = nonlin.FittedRelu(gain=rng.uniform(0.3, 0.6, m), knee=0.2)
             nl = simnet.NonlinearLayer(act, -rng.uniform(0.0, 0.3, m), trainable=True)
         layers = [simnet.uniform_phase_layer(m, rng), nl, simnet.uniform_phase_layer(m, rng)]
         return simnet.assemble_model(geom, layers)
 
-    @pytest.mark.parametrize("kind", ["diode-table", "fitted-relu"])
+    @pytest.mark.parametrize("kind", ["diode-table", "fitted-relu", "smooth"])
     def test_matches_reference_bit_for_bit(self, kind, monkeypatch):
         rng = np.random.default_rng(31)
         model = self._model(kind, rng)
@@ -793,13 +805,17 @@ class TestLinearizedBackward:
         act = type(model.layers[1].activation)
 
         def evaluated(*args, **kwargs):
-            raise AssertionError("backward evaluated the activation again")
+            raise AssertionError("backward evaluated a forward quantity again")
 
-        for name in ("value", "derivative", "linearize"):
+        names = ["value", "derivative", "linearize"] + ["bias_derivative"] * (kind != "smooth")
+        for name in names:
             monkeypatch.setattr(act, name, evaluated)
+        monkeypatch.setattr(nonlin, "polar", evaluated)
+        monkeypatch.setattr(np, "exp", evaluated)
         got = simnet.backward(model, trace, cot)
         assert got.phase.keys() == want.phase.keys() == {1, 3}
-        assert got.bias.keys() == want.bias.keys() == ({2} if kind == "fitted-relu" else set())
+        assert got.bias.keys() == want.bias.keys() == ({2} if kind != "diode-table" else set())
+        assert (trace.linearization[1][3] is None) == (kind != "smooth")
         for table in ("phase", "bias"):
             for k, grad in getattr(want, table).items():
                 assert np.array_equal(getattr(got, table)[k], grad), (table, k)
