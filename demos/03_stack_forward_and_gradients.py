@@ -28,15 +28,17 @@ model = simnet.assemble_model(geom, layers)
 print(f"{model.num_layers}-layer stack, {m} cells per layer, "
       f"nonlinear layers at {sorted(model.nl_layer_set)}")
 
+
+def kind(i):
+    return "nonlinear" if i in model.nl_layer_set else "phase"
+
+
 x = rng.standard_normal(m) + 1j * rng.standard_normal(m)
 trace = simnet.forward(model, x)
 print(f"\ninput field mean |x| = {np.mean(np.abs(x)):.3f}")
 for i, (layer, pre) in enumerate(zip(model.layers, trace.pre_activation), 1):
-    if isinstance(layer, simnet.NonlinearLayer):
-        kind, post = "nonlinear", layer.activation.apply(pre, layer.biases)
-    else:
-        kind, post = "phase", np.exp(1j * layer.phases) * pre
-    print(f"  layer {i} ({kind:9s}): mean |in| {np.mean(np.abs(pre)):.3f} "
+    post = layer.forward(pre, False)[0]
+    print(f"  layer {i} ({kind(i):9s}): mean |in| {np.mean(np.abs(pre)):.3f} "
           f"-> mean |out| {np.mean(np.abs(post)):.3f}")
 print(f"  output antennas: |y| = {np.abs(trace.output_field)}")
 print("the nonlinear layer zeroes cells below their operating point;")
@@ -53,9 +55,9 @@ def loss(y):
 value, cot = loss(trace.output_field)
 grads = simnet.backward(model, trace, cot)
 print(f"\nquadratic loss at the output: {value:.6f}")
-print(f"phase gradient norms: "
-      + ", ".join(f"layer {i}: {np.linalg.norm(g):.4f}" for i, g in grads.phase.items()))
-print(f"bias gradient norm at layer 3: {np.linalg.norm(grads.bias[3]):.4f}")
+print("gradient norm of each trainable layer's phases or biases:")
+for i, g in sorted(grads.items()):
+    print(f"  layer {i} ({kind(i):9s}): {np.linalg.norm(g):.4f}")
 
 err = simnet.finite_difference_check(model, x, loss, rng=rng)
 print(f"\nworst relative error vs central differences: {err:.2e}")

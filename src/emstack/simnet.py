@@ -30,7 +30,14 @@ CHECKPOINT_FORMAT = "emstack-checkpoint-1"
 
 @dataclass
 class LinearLayer:
-    """Programmable phase-shift layer; coefficient is exp(j phase)."""
+    """Programmable phase-shift layer; coefficient is exp(j phase).
+
+    Both layer classes have ``params`` (the phases or biases array),
+    ``forward(z, keep)`` -> (x, what ``backward`` needs if ``keep``),
+    ``backward(z, saved, cot_x)`` -> (cot_z, gradient or None if frozen)
+    and ``step(delta)``: params - delta, phases wrapped modulo 2 pi,
+    biases clamped to <= 0.
+    """
 
     phases: np.ndarray
     trainable: bool = True
@@ -39,6 +46,28 @@ class LinearLayer:
         self.phases = np.asarray(self.phases, dtype=float)
         if self.phases.ndim != 1:
             raise ValueError("phases must be a 1-D vector")
+
+    @property
+    def params(self) -> np.ndarray:
+        return self.phases
+
+    def forward(self, z, keep):
+        # exp(j phases) is kept either way: it costs nothing
+        phi = np.exp(1j * self.phases)
+        return phi * z, phi
+
+    def backward(self, z, phi, cot_x):
+        grad = None
+        if self.trainable:
+            # Re[conj(c) j phi z] = -Im(phi conj(c) z), with conj(c) z
+            # summed over the batch before the per-cell phase
+            rows = (-1, z.shape[-1])
+            batch_dot = np.einsum("bm,bm->m", np.conj(cot_x).reshape(rows), z.reshape(rows))
+            grad = -np.imag(phi * batch_dot)
+        return np.conj(phi) * cot_x, grad
+
+    def step(self, delta):
+        self.phases = (self.phases - delta) % (2.0 * np.pi)
 
 
 @dataclass
@@ -60,6 +89,43 @@ class NonlinearLayer:
             raise ValueError("biases must be a 1-D vector")
         if np.any(self.biases > 0):
             raise ValueError("biases must be <= 0")
+
+    @property
+    def params(self) -> np.ndarray:
+        return self.biases
+
+    def forward(self, z, keep):
+        """With ``keep``, one ``linearize`` call (the same bits as ``apply``)
+        gives the direction z/|z| (0 at z = 0), the slope C'[|z|], the
+        secant C[|z|]/|z| (C[0] at z = 0) and, if the biases train and the
+        slope is not dC/db, |z| (else None) to save."""
+        act = self.activation
+        if not keep:
+            return act.apply(z, self.biases), None
+        rho, direction = nonlin.polar(z)
+        amp, slope = act.linearize(rho, self.biases)
+        keep_rho = self.trainable and not act.slope_is_bias_derivative
+        secant = amp / np.where(rho > 0.0, rho, 1.0)
+        return direction * amp, (direction, slope, secant, rho if keep_rho else None)
+
+    def backward(self, z, saved, cot_x):
+        direction, slope, secant, rho = saved
+        u = np.conj(cot_x) * direction
+        cot_z = direction * (slope * np.real(u) - 1j * secant * np.imag(u))
+        if not self.trainable:
+            return cot_z, None
+        # forward kept no |z| when the slope is dC/db
+        dc_db = slope if rho is None else self.activation.bias_derivative(rho, self.biases)
+        if dc_db is None:
+            raise ValueError(
+                f"{type(self.activation).__name__} provides no bias derivative; "
+                "layer biases cannot be trainable"
+            )
+        grad = np.asarray(dc_db) * np.real(u)
+        return cot_z, grad.reshape(-1, grad.shape[-1]).sum(axis=0)
+
+    def step(self, delta):
+        self.biases = np.minimum(self.biases - delta, 0.0)
 
 
 Layer = LinearLayer | NonlinearLayer
@@ -265,9 +331,8 @@ def assemble_model(
         )
     m = geometry.num_cells
     for i, layer in enumerate(layers):
-        size = layer.phases.size if isinstance(layer, LinearLayer) else layer.biases.size
-        if size != m:
-            raise ValueError(f"layer {i + 1} has {size} cells, geometry has {m}")
+        if layer.params.size != m:
+            raise ValueError(f"layer {i + 1} has {layer.params.size} cells, geometry has {m}")
     if propagation is None:
         propagation = compute_propagation(geometry)
     return SimModel(geometry, layers, propagation, readout_scale)
@@ -289,25 +354,19 @@ class ForwardTrace:
 
     ``pre_activation[i]`` is the field after the coupling into
     layer i+1 and before its phase shift or nonlinearity, so
-    ``pre_activation[0]`` is the input field.  ``phase_factor[i]`` of a
-    linear layer i+1 is exp(j phases); ``linearization[i]`` of a
-    nonlinear layer i+1 holds the direction z/|z| (0 at z = 0), the slope
-    C'[|z|] and secant C[|z|]/|z| (C[0] at z = 0) of one ``linearize``
-    call, and |z| if the biases train and the slope is not dC/db (else
-    None).  :func:`backward` takes no ``polar`` or ``np.exp`` and calls
-    no activation method but that bias derivative.
+    ``pre_activation[0]`` is the input field.  ``saved[i]`` is what layer
+    i+1 kept for its ``backward``, which so takes no ``polar`` or ``np.exp``
+    and calls no activation method but the bias derivative.
     """
 
     pre_activation: list = field(default_factory=list)
     output_field: np.ndarray | None = None
-    phase_factor: dict = field(default_factory=dict)
-    linearization: dict = field(default_factory=dict)
+    saved: list = field(default_factory=list)
 
 
 def _layer_fields(model: SimModel, x: np.ndarray, trace: ForwardTrace | None = None):
     """Yield each layer's pre-activation in order, then the output field.
-    With a ``trace``, nonlinear layers use ``linearize`` (the same bits
-    as ``apply``), and every layer stores what :func:`backward` needs."""
+    With a ``trace``, every layer keeps in it what :func:`backward` needs."""
     m = model.geometry.num_cells
     if x.shape[-1] != m:
         raise ValueError(f"input trailing axis {x.shape[-1]} != cell count {m}")
@@ -315,21 +374,9 @@ def _layer_fields(model: SimModel, x: np.ndarray, trace: ForwardTrace | None = N
         # coupling into layer i+1; the first layer sees the input directly
         z = x if i == 0 else model.propagation.interlayer.apply(x)
         yield z
-        if isinstance(layer, LinearLayer):
-            phi = np.exp(1j * layer.phases)
-            x = phi * z
-            if trace is not None:
-                trace.phase_factor[i] = phi
-        elif trace is None:
-            x = layer.activation.apply(z, layer.biases)
-        else:
-            act = layer.activation
-            rho, direction = nonlin.polar(z)
-            amp, slope = act.linearize(rho, layer.biases)
-            x = direction * amp
-            keep_rho = layer.trainable and not act.slope_is_bias_derivative
-            secant = amp / np.where(rho > 0.0, rho, 1.0)
-            trace.linearization[i] = (direction, slope, secant, rho if keep_rho else None)
+        x, saved = layer.forward(z, trace is not None)
+        if trace is not None:
+            trace.saved.append(saved)
     yield x @ model.propagation.output.T
 
 
@@ -405,61 +452,23 @@ def polar_estimates(amp, scale: float, r_bounds) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class GradientSet:
-    """Real gradients keyed by 1-based layer index.
-
-    Frozen layers do not appear at all: phase gradients exist only for
-    trainable linear layers, bias gradients only for trainable
-    nonlinear layers.
-    """
-
-    phase: dict = field(default_factory=dict)
-    bias: dict = field(default_factory=dict)
-
-
-def _batch_sum(arr: np.ndarray) -> np.ndarray:
-    return arr.reshape(-1, arr.shape[-1]).sum(axis=0)
-
-
-def backward(model: SimModel, trace: ForwardTrace, output_cotangent) -> GradientSet:
+def backward(model: SimModel, trace: ForwardTrace, output_cotangent) -> dict:
     """Reverse-mode gradients of a real loss through the whole stack.
 
     ``output_cotangent`` packs dL/dRe(y) + j dL/dIm(y) per output
-    antenna, batched like the trace.  Gradients are summed over leading
-    (batch) axes in fixed array order.
+    antenna, batched like the trace.  Returns {1-based layer index:
+    real gradient of its ``params``} for the trainable layers only.
+    Gradients are summed over leading (batch) axes in fixed array order.
     """
     cot = np.asarray(output_cotangent, dtype=complex)
     if trace.output_field is None or cot.shape != trace.output_field.shape:
         raise ValueError("cotangent shape must match the trace output")
-    grads = GradientSet()
+    grads = {}
     cot_x = cot @ np.conj(model.propagation.output)
     for i in range(model.num_layers - 1, -1, -1):
-        layer = model.layers[i]
-        if isinstance(layer, LinearLayer):
-            phi = trace.phase_factor[i]
-            if layer.trainable:
-                # Re[conj(c) j phi z] = -Im(phi conj(c) z), with conj(c) z
-                # summed over the batch before the per-cell phase
-                z = trace.pre_activation[i]
-                rows = (-1, z.shape[-1])
-                batch_dot = np.einsum("bm,bm->m", np.conj(cot_x).reshape(rows), z.reshape(rows))
-                grads.phase[i + 1] = -np.imag(phi * batch_dot)
-            cot_z = np.conj(phi) * cot_x
-        else:
-            act = layer.activation
-            direction, slope, secant, rho = trace.linearization[i]
-            u = np.conj(cot_x) * direction
-            cot_z = direction * (slope * np.real(u) - 1j * secant * np.imag(u))
-            if layer.trainable:
-                # forward kept no |z| when the slope is dC/db
-                dc_db = slope if rho is None else act.bias_derivative(rho, layer.biases)
-                if dc_db is None:
-                    raise ValueError(
-                        f"{type(act).__name__} provides no bias derivative; "
-                        "layer biases cannot be trainable"
-                    )
-                grads.bias[i + 1] = _batch_sum(np.asarray(dc_db) * np.real(u))
+        cot_z, grad = model.layers[i].backward(trace.pre_activation[i], trace.saved[i], cot_x)
+        if grad is not None:
+            grads[i + 1] = grad
         cot_x = cot_z if i == 0 else model.propagation.interlayer.adjoint(cot_z)
     return grads
 
@@ -482,17 +491,15 @@ def finite_difference_check(
     """
     if not step > 0:
         raise ValueError("step must be positive")
+    if num_params < 1:
+        raise ValueError("num_params must be >= 1")
     rng = rng or np.random.default_rng(0)
     trace = forward(model, input_field)
     _, cot = loss(trace.output_field)
     grads = backward(model, trace, cot)
 
-    coords = []
-    for i, layer in enumerate(model.layers):
-        if isinstance(layer, LinearLayer) and layer.trainable:
-            coords += [("phase", i, m) for m in range(layer.phases.size)]
-        elif isinstance(layer, NonlinearLayer) and layer.trainable:
-            coords += [("bias", i, m) for m in range(layer.biases.size)]
+    # (1-based layer, cell) in layer order: the trainable layers are the gradient's keys
+    coords = [(k, m) for k, grad in sorted(grads.items()) for m in range(grad.size)]
     if not coords:
         return 0.0
     if len(coords) > num_params:
@@ -503,8 +510,8 @@ def finite_difference_check(
         return float(loss(forward(model, input_field).output_field)[0])
 
     pairs = []
-    for kind, i, m in coords:
-        vec = model.layers[i].phases if kind == "phase" else model.layers[i].biases
+    for k, m in coords:
+        vec = model.layers[k - 1].params
         saved = vec[m]
         vec[m] = saved + step
         hi = loss_at()
@@ -512,8 +519,7 @@ def finite_difference_check(
         lo = loss_at()
         vec[m] = saved
         fd = (hi - lo) / (2.0 * step)
-        table = grads.phase if kind == "phase" else grads.bias
-        pairs.append((fd, float(table[i + 1][m])))
+        pairs.append((fd, float(grads[k][m])))
 
     scale = max((max(abs(fd), abs(an)) for fd, an in pairs), default=0.0)
     worst = 0.0

@@ -135,7 +135,7 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    """Per-parameter first/second moments keyed like the gradient set."""
+    """First and second moments of each layer, keyed by 1-based layer index."""
 
     step: int = 0
     first: dict = field(default_factory=dict)
@@ -144,39 +144,29 @@ class AdamState:
 
 def adam_step(
     model: simnet.SimModel,
-    grads: simnet.GradientSet,
+    grads: dict,
     state: AdamState,
     config: TrainConfig,
 ) -> AdamState:
-    """One bias-corrected Adam update, in place on the model.
-
-    Phases use ``learning_rate`` and wrap modulo 2 pi; biases use
-    ``bias_learning_rate`` and are clamped to <= 0 afterwards.
-    """
+    """One bias-corrected Adam update, in place on the model, of each layer
+    in ``grads``: phases at ``learning_rate``, biases at ``bias_learning_rate``."""
     state.step += 1
     t = state.step
-    for kind, table, rate in (
-        ("phase", grads.phase, config.learning_rate),
-        ("bias", grads.bias, config.bias_learning_rate),
-    ):
-        for layer_index, grad in table.items():
-            key = (kind, layer_index)
-            if key not in state.first:
-                state.first[key], state.second[key] = np.zeros_like(grad), np.zeros_like(grad)
-            # in place: m <- beta1 m + (1 - beta1) g, v <- beta2 v + (1 - beta2) g^2
-            m, v = state.first[key], state.second[key]
-            m *= config.beta1
-            m += (1.0 - config.beta1) * grad
-            v *= config.beta2
-            v += (1.0 - config.beta2) * grad**2
-            m_hat = m / (1.0 - config.beta1**t)
-            v_hat = v / (1.0 - config.beta2**t)
-            delta = rate * m_hat / (np.sqrt(v_hat) + config.epsilon)
-            layer = model.layers[layer_index - 1]
-            if kind == "phase":
-                layer.phases = (layer.phases - delta) % (2.0 * np.pi)
-            else:
-                layer.biases = np.minimum(layer.biases - delta, 0.0)
+    for k, grad in grads.items():
+        if k not in state.first:
+            state.first[k], state.second[k] = np.zeros_like(grad), np.zeros_like(grad)
+        # in place: m <- beta1 m + (1 - beta1) g, v <- beta2 v + (1 - beta2) g^2
+        m, v = state.first[k], state.second[k]
+        m *= config.beta1
+        m += (1.0 - config.beta1) * grad
+        v *= config.beta2
+        v += (1.0 - config.beta2) * grad**2
+        m_hat = m / (1.0 - config.beta1**t)
+        v_hat = v / (1.0 - config.beta2**t)
+        layer = model.layers[k - 1]
+        linear = isinstance(layer, simnet.LinearLayer)
+        rate = config.learning_rate if linear else config.bias_learning_rate
+        layer.step(rate * m_hat / (np.sqrt(v_hat) + config.epsilon))
     return state
 
 

@@ -155,8 +155,8 @@ class TestForward:
         trace = simnet.forward(model, random_field(rng, (3, geom.num_cells)))
         _, cot = quadratic_loss(np.zeros(2))(trace.output_field)
         grads = simnet.backward(model, trace, cot)
-        assert set(grads.phase) == {1}
-        assert np.all(np.isfinite(grads.phase[1]))
+        assert set(grads) == {1}
+        assert np.all(np.isfinite(grads[1]))
 
     def test_batched_forward_matches_single(self):
         geom = make_geometry(cells_per_side=3, num_layers=3)
@@ -326,11 +326,9 @@ class TestCouplingOperator:
             runs.append((trace.output_field, simnet.backward(model, trace, cot)))
         (out_d, grads_d), (out_f, grads_f) = runs
         assert np.max(np.abs(out_f - out_d)) <= 1e-12 * np.max(np.abs(out_d))
-        assert set(grads_f.phase) == set(grads_d.phase) == {1, 2, 4}
-        assert set(grads_f.bias) == set(grads_d.bias) == {3}
-        for table_f, table_d in ((grads_f.phase, grads_d.phase), (grads_f.bias, grads_d.bias)):
-            for k, g in table_d.items():
-                assert np.max(np.abs(table_f[k] - g)) <= 1e-12 * np.max(np.abs(g))
+        assert set(grads_f) == set(grads_d) == {1, 2, 3, 4}
+        for k, g in grads_d.items():
+            assert np.max(np.abs(grads_f[k] - g)) <= 1e-12 * np.max(np.abs(g))
 
     @pytest.mark.parametrize(
         "n, backend",
@@ -638,7 +636,7 @@ class TestBackward:
 
         y = trace.output_field[0]
         expected = 2.0 * np.real(np.conj(y - target[0]) * 1j * y)
-        assert grads.phase[1][0] == pytest.approx(expected, rel=1e-12)
+        assert grads[1][0] == pytest.approx(expected, rel=1e-12)
 
     def test_single_cell_finite_difference(self):
         geom = make_geometry(cells_per_side=1, num_layers=1, antennas=1)
@@ -661,7 +659,7 @@ class TestBackward:
         x = np.ones(m, dtype=complex)
         trace = simnet.forward(model, x)
         grads = simnet.backward(model, trace, np.ones_like(trace.output_field))
-        assert grads.phase == {} and grads.bias == {}
+        assert grads == {}
 
     def test_static_layer_bias_absent_but_upstream_phase_present(self):
         geom = make_geometry(num_layers=2)
@@ -681,9 +679,8 @@ class TestBackward:
         loss = quadratic_loss(np.zeros(2))
         _, cot = loss(trace.output_field)
         grads = simnet.backward(model, trace, cot)
-        assert set(grads.phase) == {1}
-        assert grads.bias == {}
-        assert np.any(grads.phase[1] != 0.0)
+        assert set(grads) == {1}
+        assert np.any(grads[1] != 0.0)
 
     def test_trainable_bias_without_derivative_raises(self):
         geom = make_geometry(num_layers=1)
@@ -732,10 +729,10 @@ class TestBackward:
             t = simnet.forward(model, batch[b])
             _, c = loss(t.output_field)
             g = simnet.backward(model, t, c)
-            phase_sum += g.phase[1]
-            bias_sum += g.bias[2]
-        np.testing.assert_allclose(total.phase[1], phase_sum, rtol=1e-12)
-        np.testing.assert_allclose(total.bias[2], bias_sum, rtol=1e-10, atol=1e-300)
+            phase_sum += g[1]
+            bias_sum += g[2]
+        np.testing.assert_allclose(total[1], phase_sum, rtol=1e-12)
+        np.testing.assert_allclose(total[2], bias_sum, rtol=1e-10, atol=1e-300)
 
 
 def reference_backward(model, trace, output_cotangent):
@@ -743,7 +740,7 @@ def reference_backward(model, trace, output_cotangent):
     derivative again from ``trace.pre_activation``, as it did before the
     forward pass kept them."""
     cot_x = np.asarray(output_cotangent, dtype=complex) @ np.conj(model.propagation.output)
-    grads = simnet.GradientSet()
+    grads = {}
     for i in range(model.num_layers - 1, -1, -1):
         layer, z = model.layers[i], trace.pre_activation[i]
         if isinstance(layer, simnet.LinearLayer):
@@ -751,7 +748,7 @@ def reference_backward(model, trace, output_cotangent):
             if layer.trainable:
                 rows = (-1, z.shape[-1])
                 batch_dot = np.einsum("bm,bm->m", np.conj(cot_x).reshape(rows), z.reshape(rows))
-                grads.phase[i + 1] = -np.imag(phi * batch_dot)
+                grads[i + 1] = -np.imag(phi * batch_dot)
             cot_z = np.conj(phi) * cot_x
         else:
             act, biases = layer.activation, layer.biases
@@ -763,7 +760,7 @@ def reference_backward(model, trace, output_cotangent):
             cot_z = direction * (slope * np.real(u) - 1j * (amp / safe_rho) * np.imag(u))
             if layer.trainable:
                 dc_db = np.asarray(act.bias_derivative(rho, biases)) * np.real(u)
-                grads.bias[i + 1] = dc_db.reshape(-1, dc_db.shape[-1]).sum(axis=0)
+                grads[i + 1] = dc_db.reshape(-1, dc_db.shape[-1]).sum(axis=0)
         cot_x = cot_z if i == 0 else model.propagation.interlayer.adjoint(cot_z)
     return grads
 
@@ -801,7 +798,7 @@ class TestLinearizedBackward:
         trace = simnet.forward(model, x)
         _, cot = quadratic_loss(random_field(rng, (64, 2)))(trace.output_field)
         want = reference_backward(model, trace, cot)
-        assert set(trace.linearization) == {1}
+        assert len(trace.saved) == 3 and isinstance(trace.saved[1], tuple)
         act = type(model.layers[1].activation)
 
         def evaluated(*args, **kwargs):
@@ -813,12 +810,10 @@ class TestLinearizedBackward:
         monkeypatch.setattr(nonlin, "polar", evaluated)
         monkeypatch.setattr(np, "exp", evaluated)
         got = simnet.backward(model, trace, cot)
-        assert got.phase.keys() == want.phase.keys() == {1, 3}
-        assert got.bias.keys() == want.bias.keys() == ({2} if kind != "diode-table" else set())
-        assert (trace.linearization[1][3] is None) == (kind != "smooth")
-        for table in ("phase", "bias"):
-            for k, grad in getattr(want, table).items():
-                assert np.array_equal(getattr(got, table)[k], grad), (table, k)
+        assert got.keys() == want.keys() == ({1, 3} if kind == "diode-table" else {1, 2, 3})
+        assert (trace.saved[1][3] is None) == (kind != "smooth")
+        for k, grad in want.items():
+            assert np.array_equal(got[k], grad), k
 
 
 class TestFiniteDifference:
@@ -900,7 +895,7 @@ class TestFiniteDifference:
         trace = simnet.forward(model, x)
         _, cot = quadratic_loss(np.zeros(2))(trace.output_field)
         grads = simnet.backward(model, trace, cot)
-        assert np.all(grads.bias[1][1:] == 0.0)
+        assert np.all(grads[1][1:] == 0.0)
 
     def test_rejects_nonpositive_step(self):
         rng = np.random.default_rng(20)
@@ -909,6 +904,23 @@ class TestFiniteDifference:
             simnet.finite_difference_check(
                 model, np.zeros(m, dtype=complex), quadratic_loss(np.zeros(2)), step=0.0
             )
+
+    def test_rejects_nonpositive_num_params(self):
+        # checking no coordinate would pass any gradient, even one 3.5 times
+        # too large, which the default sample of coordinates catches
+        rng = np.random.default_rng(20)
+        model, m = self._random_model(rng, 2, ())
+        x = random_field(rng, (2, m))
+        exact = quadratic_loss(random_field(rng, (2, 2)))
+
+        def inflated(y):
+            value, cot = exact(y)
+            return value, 3.5 * cot
+
+        assert simnet.finite_difference_check(model, x, inflated) == pytest.approx(2.5 / 3.5)
+        for num_params in (0, -1):
+            with pytest.raises(ValueError, match="num_params"):
+                simnet.finite_difference_check(model, x, inflated, num_params=num_params)
 
 
 LOCKED_CHECKPOINT = (

@@ -170,7 +170,7 @@ class TestAdam:
         model = self._model()
         before = model.layers[0].phases.copy()
         state = trainer.AdamState()
-        grads = simnet.GradientSet(phase={1: np.zeros(4)})
+        grads = {1: np.zeros(4)}
         state = trainer.adam_step(model, grads, state, trainer.TrainConfig())
         np.testing.assert_array_equal(model.layers[0].phases, before)
         assert state.step == 1
@@ -180,7 +180,7 @@ class TestAdam:
         before = model.layers[0].phases.copy()
         g = np.array([1.0, -2.0, 0.5, -0.25])
         cfg = trainer.TrainConfig(learning_rate=1e-3)
-        trainer.adam_step(model, simnet.GradientSet(phase={1: g}), trainer.AdamState(), cfg)
+        trainer.adam_step(model, {1: g}, trainer.AdamState(), cfg)
         step = model.layers[0].phases - before
         # bias-corrected first step is about -lr * sign(g)
         np.testing.assert_allclose(step, -cfg.learning_rate * np.sign(g), rtol=1e-4)
@@ -190,7 +190,7 @@ class TestAdam:
         model.layers[0].phases = np.array([1e-4, 0.1, 0.2, 0.3])
         g = np.full(4, 1.0)
         cfg = trainer.TrainConfig(learning_rate=1e-3)
-        trainer.adam_step(model, simnet.GradientSet(phase={1: g}), trainer.AdamState(), cfg)
+        trainer.adam_step(model, {1: g}, trainer.AdamState(), cfg)
         phases = model.layers[0].phases
         assert np.all((phases >= 0.0) & (phases < 2.0 * np.pi))
         assert phases[0] == pytest.approx(2.0 * np.pi + 1e-4 - 1e-3, rel=1e-6)
@@ -205,7 +205,7 @@ class TestAdam:
         # negative gradient pushes biases up through zero
         g = np.full(4, -1.0)
         cfg = trainer.TrainConfig(bias_learning_rate=1e-3)
-        trainer.adam_step(model, simnet.GradientSet(bias={1: g}), trainer.AdamState(), cfg)
+        trainer.adam_step(model, {1: g}, trainer.AdamState(), cfg)
         np.testing.assert_array_equal(model.layers[0].biases, np.zeros(4))
 
     def test_zero_learning_rate_freezes_parameters(self):
@@ -216,8 +216,34 @@ class TestAdam:
         rng = np.random.default_rng(8)
         for _ in range(5):
             g = rng.normal(size=4)
-            trainer.adam_step(model, simnet.GradientSet(phase={1: g}), state, cfg)
+            trainer.adam_step(model, {1: g}, state, cfg)
         np.testing.assert_array_equal(model.layers[0].phases, before)
+
+    def test_mixed_stack_matches_reference_bit_for_bit(self):
+        # two trainable phase layers around trainable biases: separate rates,
+        # the 2 pi wrap, the <= 0 clamp and each layer's own moments
+        rng = np.random.default_rng(9)
+        geom = make_geometry(cells_per_side=2, num_layers=3)
+        layers = [
+            simnet.uniform_phase_layer(4, rng),
+            simnet.NonlinearLayer(nonlin_relu_half(), -rng.uniform(0.0, 2e-3, 4), trainable=True),
+            simnet.uniform_phase_layer(4, rng),
+        ]
+        model = simnet.assemble_model(geom, layers)
+        want = model.clone()
+        cfg = trainer.TrainConfig(learning_rate=0.5, bias_learning_rate=1e-3)
+        state, ref_state = trainer.AdamState(), {"step": 0, "first": {}, "second": {}}
+        wraps = clamps = 0
+        for _ in range(8):
+            phase = {1: rng.normal(size=4), 3: rng.normal(size=4)}
+            bias = {2: rng.normal(-1.0, 1.0, size=4)}
+            trainer.adam_step(model, {**phase, **bias}, state, cfg)
+            w, c = reference_adam_step(want, phase, bias, ref_state, cfg)
+            wraps, clamps = wraps + w, clamps + c
+            for got, ref in zip(model.layers, want.layers):
+                assert np.array_equal(got.params, ref.params)
+        assert wraps > 0 and clamps > 0
+        assert set(state.first) == {1, 2, 3}
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -226,6 +252,39 @@ class TestAdam:
             trainer.TrainConfig(beta1=1.0)
         with pytest.raises(ValueError):
             trainer.TrainConfig(batch_size=0)
+
+
+def reference_adam_step(model, phase_grads, bias_grads, state, config):
+    """:func:`trainer.adam_step` as it was written before each layer class
+    had its own ``step``; returns how many phases wrapped and biases clamped."""
+    state["step"] += 1
+    t = state["step"]
+    wraps = clamps = 0
+    for kind, table, rate in (
+        ("phase", phase_grads, config.learning_rate),
+        ("bias", bias_grads, config.bias_learning_rate),
+    ):
+        for layer_index, grad in table.items():
+            key = (kind, layer_index)
+            if key not in state["first"]:
+                state["first"][key], state["second"][key] = np.zeros_like(grad), np.zeros_like(grad)
+            m, v = state["first"][key], state["second"][key]
+            m *= config.beta1
+            m += (1.0 - config.beta1) * grad
+            v *= config.beta2
+            v += (1.0 - config.beta2) * grad**2
+            m_hat = m / (1.0 - config.beta1**t)
+            v_hat = v / (1.0 - config.beta2**t)
+            delta = rate * m_hat / (np.sqrt(v_hat) + config.epsilon)
+            layer = model.layers[layer_index - 1]
+            if kind == "phase":
+                moved = layer.phases - delta
+                wraps += int(np.sum((moved < 0.0) | (moved >= 2.0 * np.pi)))
+                layer.phases = (layer.phases - delta) % (2.0 * np.pi)
+            else:
+                clamps += int(np.sum(layer.biases - delta > 0.0))
+                layer.biases = np.minimum(layer.biases - delta, 0.0)
+    return wraps, clamps
 
 
 def nonlin_relu_half():
