@@ -37,7 +37,7 @@ x = rng.standard_normal(m) + 1j * rng.standard_normal(m)
 trace = simnet.forward(model, x)
 print(f"\ninput field mean |x| = {np.mean(np.abs(x)):.3f}")
 for i, (layer, pre) in enumerate(zip(model.layers, trace.pre_activation), 1):
-    post = layer.forward(pre, False)[0]
+    post = layer.forward(pre)[0]
     print(f"  layer {i} ({kind(i):9s}): mean |in| {np.mean(np.abs(pre)):.3f} "
           f"-> mean |out| {np.mean(np.abs(post)):.3f}")
 print(f"  output antennas: |y| = {np.abs(trace.output_field)}")

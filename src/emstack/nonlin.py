@@ -238,33 +238,30 @@ def polar(x):
 class Activation:
     """Envelope amplitude map C[v] with derivatives, applied phase-preserving.
 
-    ``value`` and ``derivative`` broadcast over amplitude and bias
-    arrays; ``linearize`` returns both, from one table lookup for a
-    table.  ``bias_derivative`` returns None for families whose
-    operating point is frozen at construction; the backward pass treats
-    that as "bias not trainable here".  A family whose C depends on
-    v + bias only sets ``slope_is_bias_derivative``: its bias derivative
-    is its slope, which the backward pass then reuses.
+    Each family implements ``linearize(v, bias)`` -> (C, dC/dv, dC/db),
+    broadcast over amplitude and bias arrays and computed from one
+    evaluation (one table lookup for a table).  dC/db is None for
+    families whose operating point is frozen at construction; the
+    backward pass treats that as "bias not trainable here".  ``value``,
+    ``derivative`` and ``bias_derivative`` are its three parts.
     """
 
     supports_bias = False
-    slope_is_bias_derivative = False
     # checkpoint descriptor: the kind, then these constructor arguments
     kind = None
     param_names = ()
 
-    def value(self, v, bias=0.0):
+    def linearize(self, v, bias=0.0):
         raise NotImplementedError
+
+    def value(self, v, bias=0.0):
+        return self.linearize(v, bias)[0]
 
     def derivative(self, v, bias=0.0):
-        raise NotImplementedError
+        return self.linearize(v, bias)[1]
 
     def bias_derivative(self, v, bias=0.0):
-        return self.derivative(v, bias) if self.slope_is_bias_derivative else None
-
-    def linearize(self, v, bias=0.0):
-        """(C[v], C'[v]), bitwise equal to ``value`` and ``derivative``."""
-        return self.value(v, bias), self.derivative(v, bias)
+        return self.linearize(v, bias)[2]
 
     def apply(self, x, bias=0.0):
         """sigma(x) = C[|x|] exp(j arg x); exactly 0 at x = 0."""
@@ -286,14 +283,10 @@ class ConstantAmplitude(Activation):
     def __init__(self, level: float):
         self.level = float(level)
 
-    def value(self, v, bias=0.0):
+    def linearize(self, v, bias=0.0):
         self._require_zero_bias(bias)
         v = np.asarray(v, dtype=float)
-        return np.where(v > 0.0, self.level, 0.0)
-
-    def derivative(self, v, bias=0.0):
-        self._require_zero_bias(bias)
-        return np.zeros(np.shape(v))
+        return np.where(v > 0.0, self.level, 0.0), np.zeros(v.shape), None
 
 
 class PowerLowpass(Activation):
@@ -304,20 +297,20 @@ class PowerLowpass(Activation):
     param_names = ("exponent", "coefficient")
 
     def __init__(self, exponent: int, coefficient: float):
+        # C[0] = 0 and a finite slope at 0 need an integer exponent >= 1
+        if not (float(exponent).is_integer() and exponent >= 1):
+            raise ValueError("exponent must be an integer >= 1")
         self.exponent = int(exponent)
         self.coefficient = float(coefficient)
 
-    def value(self, v, bias=0.0):
-        self._require_zero_bias(bias)
-        return self.coefficient * np.asarray(v, dtype=float) ** self.exponent
-
-    def derivative(self, v, bias=0.0):
+    def linearize(self, v, bias=0.0):
         self._require_zero_bias(bias)
         n = self.exponent
         v = np.asarray(v, dtype=float)
+        value = self.coefficient * v ** n
         if n == 1:
-            return np.full(v.shape, self.coefficient)
-        return self.coefficient * n * v ** (n - 1)
+            return value, np.full(v.shape, self.coefficient), None
+        return value, self.coefficient * n * v ** (n - 1), None
 
 
 class ShiftedReluLowpass(Activation):
@@ -341,31 +334,20 @@ class ShiftedReluLowpass(Activation):
         self.shift = _scalar_or_array(shift)
         self.gain = _scalar_or_array(gain)
 
-    def _branches(self, v, bias):
-        """v, a = shift + bias, the above-knee mask v > |a|, and
-        arccos(-a/v) and sqrt(v^2 - a^2), evaluated at v = 1, a = 0 off
-        the mask."""
+    def linearize(self, v, bias=0.0):
+        # arccos(-a/v) and sqrt(v^2 - a^2) are evaluated at v = 1, a = 0
+        # below the knee, where v <= |a|
         v = np.asarray(v, dtype=float)
         a = self.shift + np.asarray(bias, dtype=float)
         above = v > np.abs(a)
         vb, ab = np.where(above, v, 1.0), np.where(above, a, 0.0)
         angle = np.arccos(np.clip(-ab / vb, -1.0, 1.0))
         root = np.sqrt(np.maximum(vb ** 2 - ab ** 2, 0.0))
-        return v, a, above, vb, ab, angle, root
-
-    def value(self, v, bias=0.0):
-        v, a, above, vb, ab, angle, root = self._branches(v, bias)
         below = np.where(a > 0, v, np.where(a < 0, 0.0, 0.5 * v))
-        return self.gain * np.where(above, (vb * angle + ab * root / vb) / np.pi, below)
-
-    def derivative(self, v, bias=0.0):
-        v, a, above, vb, ab, angle, root = self._branches(v, bias)
+        value = self.gain * np.where(above, (vb * angle + ab * root / vb) / np.pi, below)
         below = np.where(a > 0, 1.0, np.where(a < 0, 0.0, 0.5))
-        return self.gain * np.where(above, (angle - ab * root / vb ** 2) / np.pi, below)
-
-    def bias_derivative(self, v, bias=0.0):
-        v, a, above, vb, ab, angle, root = self._branches(v, bias)
-        return self.gain * np.where(above, (2.0 / np.pi) * root / vb, 0.0)
+        slope = self.gain * np.where(above, (angle - ab * root / vb ** 2) / np.pi, below)
+        return value, slope, self.gain * np.where(above, (2.0 / np.pi) * root / vb, 0.0)
 
 
 class FittedRelu(Activation):
@@ -380,21 +362,16 @@ class FittedRelu(Activation):
     kind = "fitted_relu"
     param_names = ("gain", "knee")
     supports_bias = True
-    slope_is_bias_derivative = True  # C depends on v + bias only
 
     def __init__(self, gain, knee=0.0):
         self.gain = _scalar_or_array(gain)
         self.knee = _scalar_or_array(knee)
 
-    def _excess(self, v, bias):
-        return np.asarray(v, dtype=float) - (self.knee - np.asarray(bias, dtype=float))
-
-    def value(self, v, bias=0.0):
-        return self.gain * np.maximum(self._excess(v, bias), 0.0)
-
-    def derivative(self, v, bias=0.0):
-        e = self._excess(v, bias)
-        return self.gain * (np.where(e > 0, 1.0, 0.0) + np.where(e == 0, 0.5, 0.0))
+    def linearize(self, v, bias=0.0):
+        e = np.asarray(v, dtype=float) - (self.knee - np.asarray(bias, dtype=float))
+        value = self.gain * np.maximum(e, 0.0)
+        slope = self.gain * (np.where(e > 0, 1.0, 0.0) + np.where(e == 0, 0.5, 0.0))
+        return value, slope, slope  # C depends on v + bias only
 
 
 class TabulatedActivationSet(Activation):
@@ -470,10 +447,7 @@ class TabulatedActivationSet(Activation):
             knot += self._next_knot[knot] <= v
         return knot
 
-    def _interpolate(self, v, bias):
-        """The flat index of the last knot <= v (0 below the grid) into
-        the raveled (num_cells, grid size) tables, whether v is on that
-        knot, and C[v]."""
+    def linearize(self, v, bias=0.0):
         self._require_zero_bias(bias)
         v = np.asarray(v, dtype=float)
         if self.num_cells > 1 and (v.ndim == 0 or v.shape[-1] != self.num_cells):
@@ -486,17 +460,7 @@ class TabulatedActivationSet(Activation):
         t = np.clip(offset / self._widths[seg], 0.0, 1.0)
         values, at = self.values.ravel(), self._rows + seg
         value = values[at] * (1.0 - t) + values[1:][at] * t  # values[1:][at] is values[at + 1]
-        return self._rows + knot, offset == 0.0, value
-
-    def value(self, v, bias=0.0):
-        return self._interpolate(v, bias)[-1]
-
-    def linearize(self, v, bias=0.0):
-        at, on_knot, value = self._interpolate(v, bias)
-        return value, self._slopes[2 * at + on_knot]
-
-    def derivative(self, v, bias=0.0):
-        return self.linearize(v, bias)[1]
+        return value, self._slopes[2 * (self._rows + knot) + (offset == 0.0)], None
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ class LinearLayer:
     """Programmable phase-shift layer; coefficient is exp(j phase).
 
     Both layer classes have ``params`` (the phases or biases array),
-    ``forward(z, keep)`` -> (x, what ``backward`` needs if ``keep``),
+    ``forward(z)`` -> (x, what ``backward`` needs),
     ``backward(z, saved, cot_x)`` -> (cot_z, gradient or None if frozen)
     and ``step(delta)``: params - delta, phases wrapped modulo 2 pi,
     biases clamped to <= 0.
@@ -51,8 +51,7 @@ class LinearLayer:
     def params(self) -> np.ndarray:
         return self.phases
 
-    def forward(self, z, keep):
-        # exp(j phases) is kept either way: it costs nothing
+    def forward(self, z):
         phi = np.exp(1j * self.phases)
         return phi * z, phi
 
@@ -94,28 +93,22 @@ class NonlinearLayer:
     def params(self) -> np.ndarray:
         return self.biases
 
-    def forward(self, z, keep):
-        """With ``keep``, one ``linearize`` call (the same bits as ``apply``)
-        gives the direction z/|z| (0 at z = 0), the slope C'[|z|], the
-        secant C[|z|]/|z| (C[0] at z = 0) and, if the biases train and the
-        slope is not dC/db, |z| (else None) to save."""
-        act = self.activation
-        if not keep:
-            return act.apply(z, self.biases), None
+    def forward(self, z):
+        """One ``linearize`` call (the same bits as ``apply``) gives the
+        output and, to save, the direction z/|z| (0 at z = 0), the slope
+        C'[|z|], the secant C[|z|]/|z| (C[0] at z = 0) and dC/db if the
+        biases train (else None)."""
         rho, direction = nonlin.polar(z)
-        amp, slope = act.linearize(rho, self.biases)
-        keep_rho = self.trainable and not act.slope_is_bias_derivative
+        amp, slope, dc_db = self.activation.linearize(rho, self.biases)
         secant = amp / np.where(rho > 0.0, rho, 1.0)
-        return direction * amp, (direction, slope, secant, rho if keep_rho else None)
+        return direction * amp, (direction, slope, secant, dc_db if self.trainable else None)
 
     def backward(self, z, saved, cot_x):
-        direction, slope, secant, rho = saved
+        direction, slope, secant, dc_db = saved
         u = np.conj(cot_x) * direction
         cot_z = direction * (slope * np.real(u) - 1j * secant * np.imag(u))
         if not self.trainable:
             return cot_z, None
-        # forward kept no |z| when the slope is dC/db
-        dc_db = slope if rho is None else self.activation.bias_derivative(rho, self.biases)
         if dc_db is None:
             raise ValueError(
                 f"{type(self.activation).__name__} provides no bias derivative; "
@@ -356,7 +349,7 @@ class ForwardTrace:
     layer i+1 and before its phase shift or nonlinearity, so
     ``pre_activation[0]`` is the input field.  ``saved[i]`` is what layer
     i+1 kept for its ``backward``, which so takes no ``polar`` or ``np.exp``
-    and calls no activation method but the bias derivative.
+    and calls no activation method.
     """
 
     pre_activation: list = field(default_factory=list)
@@ -374,7 +367,7 @@ def _layer_fields(model: SimModel, x: np.ndarray, trace: ForwardTrace | None = N
         # coupling into layer i+1; the first layer sees the input directly
         z = x if i == 0 else model.propagation.interlayer.apply(x)
         yield z
-        x, saved = layer.forward(z, trace is not None)
+        x, saved = layer.forward(z)
         if trace is not None:
             trace.saved.append(saved)
     yield x @ model.propagation.output.T

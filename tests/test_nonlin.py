@@ -441,7 +441,8 @@ LINEARIZE_CASES = {
 
 
 class TestLinearize:
-    """``linearize(v, b)`` is ``(value(v, b), derivative(v, b))`` bit for bit."""
+    """``linearize(v, b)`` is ``(value(v, b), derivative(v, b),
+    bias_derivative(v, b))`` bit for bit."""
 
     def test_every_kind_is_covered(self):
         assert set(LINEARIZE_CASES) == set(nonlin._ACTIVATION_KINDS)
@@ -454,9 +455,30 @@ class TestLinearize:
         v[0] = 0.0
         v[1] = 0.25  # the fitted knee
         bias = -rng.uniform(0.0, 0.1, 16) if act.supports_bias else 0.0
-        value, slope = act.linearize(v, bias)
+        value, slope, dc_db = act.linearize(v, bias)
         assert np.array_equal(value, act.value(v, bias))
         assert np.array_equal(slope, act.derivative(v, bias))
+        assert np.array_equal(dc_db, act.bias_derivative(v, bias))
+
+    @pytest.mark.parametrize("kind", sorted(LINEARIZE_CASES))
+    def test_slopes_match_central_differences(self, kind):
+        act = LINEARIZE_CASES[kind]
+        rng = np.random.default_rng(6)
+        # strictly between the table's knots, the multiples of 1/8, and
+        # off the fitted knees 0.25 - bias, which the biases put on knots
+        v = (rng.integers(0, 10, (64, 16)) + rng.uniform(0.1, 0.9, (64, 16))) / 8.0
+        bias = -(np.arange(16) % 3 + 1) / 8.0 if act.supports_bias else 0.0
+        if kind == "shifted_relu_lowpass":  # C' grows like sqrt(v - |a|) past the knee
+            knee = np.abs(act.shift + bias)
+            v = np.where(np.abs(v - knee) < 1e-3, v + 2e-3, v)
+        _, slope, dc_db = act.linearize(v, bias)
+        assert act.supports_bias == (dc_db is not None)
+        h = 1e-6
+        numeric = (act.value(v + h, bias) - act.value(v - h, bias)) / (2 * h)
+        np.testing.assert_allclose(slope, numeric, rtol=1e-6, atol=1e-6)
+        if dc_db is not None:
+            numeric = (act.value(v, bias + h) - act.value(v, bias - h)) / (2 * h)
+            np.testing.assert_allclose(dc_db, numeric, rtol=1e-6, atol=1e-6)
 
     @pytest.mark.parametrize("cells", [1, 16])
     def test_table_matches_the_two_search_lookup(self, cells):
@@ -467,7 +489,8 @@ class TestLinearize:
         act = nonlin.TabulatedActivationSet(grid, values)
         v = _table_amplitudes(grid, rng)
         want_value, want_slope = _two_search_lookup(act, v)
-        value, slope = act.linearize(v)
+        value, slope, dc_db = act.linearize(v)
+        assert dc_db is None
         assert np.array_equal(value, want_value)
         assert np.array_equal(slope, want_slope)
         assert np.array_equal(act.value(v), want_value)
@@ -530,7 +553,7 @@ class TestKnotLocator:
     def test_nan_amplitude_gives_nan_value(self):
         grid = nonlin.tabulation_grid(1.0, 512)
         act = nonlin.TabulatedActivationSet(grid, np.sqrt(grid)[None, :] + 1.0)
-        value, _ = act.linearize(np.array([np.nan, 0.25, np.inf]))
+        value, _, _ = act.linearize(np.array([np.nan, 0.25, np.inf]))
         assert np.isnan(value[0]) and value[2] == act.values[0, -1]
         assert np.isnan(act.value(np.nan))
 
@@ -656,6 +679,15 @@ class TestSerialization:
         back = nonlin.activation_from_dict(nonlin.activation_to_dict(act))
         v = np.linspace(0, 0.9, 7)
         np.testing.assert_array_equal(back.value(v), act.value(v))
+
+    @pytest.mark.parametrize("exponent", [0, -1, 2.5])
+    def test_power_rejects_exponent_below_one_or_fractional(self, exponent):
+        # exponent 0 would give C[0] = 1 and a NaN slope at 0, and 2.5 would truncate to 2
+        with pytest.raises(ValueError, match="integer >= 1"):
+            nonlin.PowerLowpass(exponent, 1.0)
+        desc = {"kind": "power", "exponent": exponent, "coefficient": 1.0}
+        with pytest.raises(ValueError, match="integer >= 1"):
+            nonlin.activation_from_dict(desc)
 
     def test_unregistered_class_and_unknown_kind_rejected(self):
         class Unregistered(nonlin.FittedRelu):

@@ -484,7 +484,7 @@ def blocked_model(n, table=False):
 class TestAmplitudes:
     @pytest.mark.parametrize("n", [4, 28, 40])
     def test_matches_traced_forward_bit_for_bit(self, n):
-        # amplitudes applies each activation, the traced forward linearizes it
+        # amplitudes runs the recursion in blocks and drops what each layer saves
         for model in (blocked_model(n), blocked_model(n, table=True)):
             rng = np.random.default_rng(11)
             fields = random_field(rng, (300, n * n))
@@ -767,8 +767,8 @@ def reference_backward(model, trace, output_cotangent):
 
 class TestLinearizedBackward:
     """backward takes each layer's phase factor, and each nonlinear
-    layer's direction, slope and secant, from the trace and equals the
-    reference that evaluates them again."""
+    layer's direction, slope, secant and bias derivative, from the trace
+    and equals the reference that evaluates them again."""
 
     def _model(self, kind, rng):
         geom = spaced_geometry(3, num_layers=3)
@@ -780,7 +780,7 @@ class TestLinearizedBackward:
             ]
             values = np.concatenate([t.values for t in tables])
             nl = simnet.NonlinearLayer(nonlin.TabulatedActivationSet(tables[0].grid, values), np.zeros(m))
-        elif kind == "smooth":  # a bias derivative of its own: forward keeps |z|
+        elif kind == "smooth":  # a bias derivative of its own
             act = nonlin.ShiftedReluLowpass(shift=rng.uniform(-0.2, 0.2, m), gain=0.7)
             nl = simnet.NonlinearLayer(act, -rng.uniform(0.0, 0.3, m), trainable=True)
         else:
@@ -804,14 +804,13 @@ class TestLinearizedBackward:
         def evaluated(*args, **kwargs):
             raise AssertionError("backward evaluated a forward quantity again")
 
-        names = ["value", "derivative", "linearize"] + ["bias_derivative"] * (kind != "smooth")
-        for name in names:
+        for name in ("value", "derivative", "bias_derivative", "linearize"):
             monkeypatch.setattr(act, name, evaluated)
         monkeypatch.setattr(nonlin, "polar", evaluated)
         monkeypatch.setattr(np, "exp", evaluated)
         got = simnet.backward(model, trace, cot)
         assert got.keys() == want.keys() == ({1, 3} if kind == "diode-table" else {1, 2, 3})
-        assert (trace.saved[1][3] is None) == (kind != "smooth")
+        assert (trace.saved[1][3] is None) == (kind == "diode-table")
         for k, grad in want.items():
             assert np.array_equal(got[k], grad), k
 
