@@ -16,6 +16,10 @@ Bias convention: a cell's operating point is shifted by adding a bias
 b <= 0 to the instantaneous input, F_b[s] = F[s + b], which moves the
 activation knee to higher envelopes.  Activation objects take the bias
 as an extra argument so one family serves a whole layer of cells.
+
+Only ``scipy.special`` is imported with the module.  The integrator and
+the optimizer load inside the two functions that call them, so a
+training run does not carry them (about 26 MB and 0.3 s per process).
 """
 
 from __future__ import annotations
@@ -25,8 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import minimize_scalar
 from scipy.special import wrightomega
 
 QUADRATURE_ABS_TOL = 1e-9
@@ -341,10 +343,14 @@ class ShiftedReluLowpass(Activation):
         a = self.shift + np.asarray(bias, dtype=float)
         above = v > np.abs(a)
         vb, ab = np.where(above, v, 1.0), np.where(above, a, 0.0)
+        # C is homogeneous of degree 1 in (v, a): lift tiny amplitudes by an
+        # exact power of two so vb ** 2 cannot underflow, and scale C back
+        scale = np.where(vb < 2.0 ** -500, 2.0 ** 600, 1.0)
+        vb, ab = vb * scale, ab * scale
         angle = np.arccos(np.clip(-ab / vb, -1.0, 1.0))
         root = np.sqrt(np.maximum(vb ** 2 - ab ** 2, 0.0))
         below = np.where(a > 0, v, np.where(a < 0, 0.0, 0.5 * v))
-        value = self.gain * np.where(above, (vb * angle + ab * root / vb) / np.pi, below)
+        value = self.gain * np.where(above, (vb * angle + ab * root / vb) / np.pi / scale, below)
         below = np.where(a > 0, 1.0, np.where(a < 0, 0.0, 0.5))
         slope = self.gain * np.where(above, (angle - ab * root / vb ** 2) / np.pi, below)
         return value, slope, self.gain * np.where(above, (2.0 / np.pi) * root / vb, 0.0)
@@ -486,6 +492,8 @@ def lowpass_from_bandpass(nl: BandpassNL, amplitude: float) -> float:
     def integrand(phi):
         return float(nl(v * math.cos(phi))) * math.cos(phi)
 
+    # imported here, not with the module: 26 MB and 0.3 s that `run` never needs
+    from scipy.integrate import quad
     points = [p for p in nl.phase_breakpoints(abs(v)) if 0.0 < p < np.pi]
     val, err = quad(
         integrand,
@@ -613,6 +621,8 @@ def fit_relu_approximation(activation: Activation, amplitude_range) -> ReluFit:
     rms = np.array([fit_at(a)[1] for a in candidates])
     best = candidates[int(np.argmin(rms))]
     span = (hi - lo) / 199.0
+    # imported here, not with the module: 26 MB and 0.3 s that `run` never needs
+    from scipy.optimize import minimize_scalar
     res = minimize_scalar(
         lambda a: fit_at(a)[1],
         bounds=(max(lo, best - 2 * span), min(hi, best + 2 * span)),

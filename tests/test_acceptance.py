@@ -4,7 +4,7 @@ Covers the envelope-map theory oracles, the diode solver, gradient
 correctness, physics invariants, the matched-filter baseline, and the
 desk-scale training trends (nonlinear layer placement, depth scaling,
 trainable versus fabrication-random operating points).  The final
-full-scale criterion trains for about 21 min on 2 cores with one BLAS
+full-scale criterion trains for about 15-18 min on 2 cores with one BLAS
 thread and only runs with EMSTACK_RUN_SLOW=1.
 """
 
@@ -364,7 +364,7 @@ def test_criterion_8_full_scale(tmp_path, report):
     if os.environ.get("EMSTACK_RUN_SLOW") != "1":
         pytest.skip(
             "set EMSTACK_RUN_SLOW=1 to run the full-scale study "
-            "(about 21 min on 2 cores with one BLAS thread)"
+            "(about 15-18 min on 2 cores with one BLAS thread)"
         )
     cfg = cli.load_config(cli.load_preset("paper"))
     out = cli.run_experiment(cfg, tmp_path)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import emstack
-from emstack import baselines, cli, simnet, trainer
+from emstack import baselines, cli, nonlin, simnet, trainer
 
 
 TINY = """
@@ -34,6 +34,12 @@ nl_mode = linear
 ml_coarse = 30
 ml_refine = 5
 """
+
+
+def _fresh_interpreter_env():
+    """Environment for a child interpreter that imports this emstack."""
+    paths = [str(Path(emstack.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
 
 
 def read_rows(path):
@@ -185,6 +191,35 @@ class TestRunVerb:
         _, recs = read_rows(out / "records.csv")
         assert len(recs) == 10
         assert (out / "config.ini").read_text() == cfg.text
+
+    def test_run_loads_neither_integrator_nor_optimizer(self, tmp_path):
+        # both are imported by the one function that calls each, so a fresh
+        # `run` process stays free of them and their 26 MB
+        text = TINY.replace("nl_mode = linear", "nl_mode = trainable\nactivation = relu-fit")
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(text.replace("epochs = 0", "epochs = 1"))
+        script = (
+            "import json, sys\n"
+            "from emstack import cli, nonlin\n"
+            "code = cli.main(['run', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+            "loaded = [m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules]\n"
+            "fit = nonlin.fit_relu_approximation(nonlin.FittedRelu(0.7, 0.33), (0.0, 1.0))\n"
+            "quad = nonlin.lowpass_from_bandpass(nonlin.ShiftedRelu(-0.5), 1.0)\n"
+            "print(json.dumps([code, loaded, quad, fit.gain, fit.knee, fit.residual_rms]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-c", script, str(cfg_path), tmp_path],
+            env=_fresh_interpreter_env(),
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, loaded, quad, *fit = json.loads(proc.stdout.splitlines()[-1])
+        assert (code, loaded) == (0, [])
+        # the same results as in this process, where both are loaded
+        want = nonlin.fit_relu_approximation(nonlin.FittedRelu(0.7, 0.33), (0.0, 1.0))
+        assert fit == [want.gain, want.knee, want.residual_rms]
+        assert quad == nonlin.lowpass_from_bandpass(nonlin.ShiftedRelu(-0.5), 1.0)
 
     def test_history_file_matches_train_result(self, tmp_path, monkeypatch):
         results, real_train = [], trainer.train
@@ -480,11 +515,9 @@ class TestCheckVerb:
 
     def test_module_run_raises_no_runtime_warning(self):
         # importing the package must not pre-import emstack.cli, or runpy warns
-        paths = [str(Path(emstack.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
         proc = subprocess.run(
             [sys.executable, "-W", "error::RuntimeWarning", "-m", "emstack.cli", "check"],
-            env=env,
+            env=_fresh_interpreter_env(),
             capture_output=True,
             text=True,
         )

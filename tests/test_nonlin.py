@@ -178,6 +178,21 @@ class TestShiftedReluDerivatives:
             assert act.value(v, b) == 0.0
         assert act.value(0.31, b) > 0.0
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("v", [1e-300, 1e-200, 1e-160])
+    def test_tiny_amplitudes_do_not_underflow(self, v):
+        # v ** 2 underflows below about 1e-154; C is homogeneous of degree 1
+        # in (v, a), so the slopes equal those at v = 1 and C scales with v
+        gain = 1.3
+        c, slope, dcdb = nonlin.ShiftedReluLowpass(0.0, gain).linearize(v)
+        expected = [gain / 2, gain / 2, gain * 2 / np.pi]
+        np.testing.assert_allclose([c / v, slope, dcdb], expected, rtol=1e-12)
+        for ratio in (0.3, -0.3):
+            got = np.array(nonlin.ShiftedReluLowpass(ratio * v, gain).linearize(v))
+            assert np.isfinite(got).all()
+            unit = np.array(nonlin.ShiftedReluLowpass(ratio, gain).linearize(1.0))
+            np.testing.assert_allclose(got / [v, 1.0, 1.0], unit, rtol=1e-12)
+
 
 class TestDiodeSolver:
     PARAMS = nonlin.DiodeCircuitParams(alpha_per_volt=33.0)
