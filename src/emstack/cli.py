@@ -229,13 +229,6 @@ def _validate(cfg: dict) -> None:
     """The rules the CLI owns; every other range is checked by building
     the geometry, scenario, search grids and training settings."""
     sc, mo, tr, ex, cu = (cfg[k] for k in ("scenario", "model", "training", "experiment", "curves"))
-    if mo["nl_layer_index"] != "last":
-        try:
-            idx = int(mo["nl_layer_index"])
-        except ValueError as exc:
-            raise ConfigError("nl_layer_index must be an integer or 'last'") from exc
-        if not 1 <= idx <= sc["num_layers"]:
-            raise ConfigError("nl_layer_index outside 1..num_layers")
     if ex["sweep"] == "nl-layer-index" and mo["nl_mode"] == "linear":
         raise ConfigError("sweep = nl-layer-index needs a nonlinear layer; nl_mode is linear")
     if mo["alpha_min"] > mo["alpha_max"] or mo["alpha_min"] <= 0:
@@ -250,11 +243,6 @@ def _validate(cfg: dict) -> None:
         raise ConfigError("curves need v_max > 0 and samples >= 2")
     if mo["table_points"] < 512:
         raise ConfigError("table_points must be >= 512")
-    if mo["activation"] == "diode-table" and mo["nl_mode"] == "trainable":
-        raise ConfigError(
-            "diode-table curves have a frozen operating point; "
-            "use nl_mode = static-random or a bias-capable activation"
-        )
     try:
         for depth in (sc["num_layers"], *ex["depth_values"]):
             geometry = build_geometry(cfg, depth)
@@ -275,6 +263,13 @@ def _validate(cfg: dict) -> None:
         raise ConfigError(f"power level out of range: {exc.args[-1]}") from exc
     except (ValueError, FloatingPointError) as exc:
         raise ConfigError(str(exc)) from exc
+    # the config's own model (build_model's default) and every model of the sweep
+    for point in (_config_point(cfg, sc["num_layers"]), *sweep_points(cfg)):
+        if point.variant == "trainable" and mo["activation"] == "diode-table":
+            raise ConfigError(
+                "diode-table curves have a frozen operating point; use a bias-capable activation,"
+                " or nl_mode = static-random without sweep = depth-L (which trains every nl_mode)"
+            )
 
 
 def _train_config(cfg: dict, seed: int = 0) -> trainer.TrainConfig:
@@ -359,53 +354,74 @@ def _make_activation(cfg: ExperimentConfig, num_cells: int, rng: np.random.Gener
     return nonlin.TabulatedActivationSet(grid, np.concatenate(values))
 
 
+# One model a run trains: ``value`` fills results.csv's ``point`` column, ``nl_position``
+# is the nonlinear layer's 1-based place among ``depth`` layers, ``variant`` its nl_mode.
+SweepPoint = collections.namedtuple("SweepPoint", "value depth nl_position variant")
+
+
+def _config_point(cfg: ExperimentConfig, depth: int) -> SweepPoint:
+    """The config's own model in a ``depth``-layer stack: the one place
+    ``nl_layer_index`` is read."""
+    raw = cfg["model"]["nl_layer_index"]
+    try:
+        position = depth if raw == "last" else int(raw)
+    except ValueError as exc:
+        raise ConfigError("nl_layer_index must be an integer or 'last'") from exc
+    if not 1 <= position <= depth:
+        raise ConfigError(f"nl_layer_index = {raw} outside 1..{depth}")
+    return SweepPoint("single", depth, position, cfg["model"]["nl_mode"])
+
+
+def sweep_points(cfg: ExperimentConfig) -> list:
+    """Every model the run trains, in output order, consecutive in depth:
+    the config's own model, one per nonlinear position of a placement
+    sweep, or each of ``_NL_MODES`` at every depth of a depth sweep."""
+    depth, nl_mode = cfg["scenario"]["num_layers"], cfg["model"]["nl_mode"]
+    sweep = cfg["experiment"]["sweep"]
+    if sweep == "none":
+        return [_config_point(cfg, depth)]
+    if sweep == "nl-layer-index":
+        return [SweepPoint(p, depth, p, nl_mode) for p in range(1, depth + 1)]
+    depths = cfg["experiment"]["depth_values"]
+    return [SweepPoint(d, d, d, variant) for d in depths for variant in _NL_MODES]
+
+
 def build_model(
     cfg: ExperimentConfig,
     geometry: emfield.SimGeometry,
     propagation: simnet.Propagation,
     dataset: trainer.Dataset,
     seed: int,
-    nl_position: int | None = None,
+    point: SweepPoint | None = None,
 ) -> simnet.SimModel:
-    """One model per nl-mode, with the nonlinear layer's bias scale
-    calibrated to the field it will actually see.
+    """The model of ``point``, by default the config's own in ``geometry``'s
+    stack; a linear point draws the phases of :func:`baselines.linear_sim_model`.
 
     Knee magnitudes are drawn half-normal at ``bias_scale_factor`` times
     the median pre-activation amplitude at the nonlinear position under
     the freshly initialized phases.  Trainable and static-random differ
     only in whether the biases update afterwards.
     """
-    mo = cfg["model"]
+    if point is None:
+        point = _config_point(cfg, geometry.num_layers)
     rng = np.random.default_rng(seed)
     m = geometry.num_cells
-    if mo["nl_mode"] == "linear":
-        return baselines.linear_sim_model(geometry, rng, propagation)
-
-    if nl_position is None:
-        raw = mo["nl_layer_index"]
-        nl_position = geometry.num_layers if raw == "last" else int(raw)
-    if not 1 <= nl_position <= geometry.num_layers:
-        raise ConfigError("nonlinear layer position outside the stack")
-
-    trainable = mo["nl_mode"] == "trainable"
-    layers = []
-    for l in range(1, geometry.num_layers + 1):
-        if l == nl_position:
-            layers.append(
-                simnet.NonlinearLayer(
-                    _make_activation(cfg, m, rng), np.zeros(m), trainable=trainable
-                )
-            )
-        else:
-            layers.append(simnet.uniform_phase_layer(m, rng))
+    nl_position = None if point.variant == "linear" else point.nl_position
+    layers = [
+        simnet.NonlinearLayer(
+            _make_activation(cfg, m, rng), np.zeros(m), trainable=point.variant == "trainable"
+        )
+        if l == nl_position
+        else simnet.uniform_phase_layer(m, rng)
+        for l in range(1, geometry.num_layers + 1)
+    ]
     model = simnet.assemble_model(geometry, layers, propagation)
 
-    nl_layer = model.layers[nl_position - 1]
-    if nl_layer.activation.supports_bias:
+    if nl_position is not None and model.layers[nl_position - 1].activation.supports_bias:
         amp = simnet.amplitudes(model, dataset.fields, dataset.split.train, nl_position)
         median_amp = float(np.median(amp, overwrite_input=True))
-        scale = mo["bias_scale_factor"] * median_amp
-        nl_layer.biases = nonlin.sample_trainable_bias_init(m, rng, scale)
+        scale = cfg["model"]["bias_scale_factor"] * median_amp
+        model.layers[nl_position - 1].biases = nonlin.sample_trainable_bias_init(m, rng, scale)
     return model
 
 
@@ -542,24 +558,6 @@ def _output_dir(cfg: ExperimentConfig, out_root) -> Path:
     return out_dir
 
 
-# One trained configuration of a sweep: ``value`` fills the ``point``
-# column, ``nl_position`` None keeps the config's nl_layer_index, and
-# ``variant`` is the nl_mode it trains with.
-SweepPoint = collections.namedtuple("SweepPoint", "value depth nl_position variant")
-
-
-def sweep_points(cfg: ExperimentConfig) -> list:
-    """The sweep's points in output order, consecutive in depth."""
-    depth, nl_mode = cfg["scenario"]["num_layers"], cfg["model"]["nl_mode"]
-    sweep = cfg["experiment"]["sweep"]
-    if sweep == "none":
-        return [SweepPoint("single", depth, None, nl_mode)]
-    if sweep == "nl-layer-index":
-        return [SweepPoint(p, depth, p, nl_mode) for p in range(1, depth + 1)]
-    depths = cfg["experiment"]["depth_values"]
-    return [SweepPoint(d, d, d, variant) for d in depths for variant in _NL_MODES]
-
-
 def _run_job(cfg, point, seed, geometry, propagation, dataset, out_dir) -> trainer.EvalResult:
     """Train and test ``point`` at ``seed``; its history, then its
     checkpoint, which marks the job done.  A saved checkpoint that loads is
@@ -576,8 +574,7 @@ def _run_job(cfg, point, seed, geometry, propagation, dataset, out_dir) -> train
             test = trainer.evaluate(model, dataset, dataset.split.test)
             if test.rmse == extra.get("test_rmse_m"):
                 return test
-    point_cfg = _variant_config(cfg, point.variant)
-    model = build_model(point_cfg, geometry, propagation, dataset, seed, point.nl_position)
+    model = build_model(cfg, geometry, propagation, dataset, seed, point)
     try:
         trainer.calibrate_readout_scale(model, dataset)
     except ValueError as exc:  # a dead model: every training output is zero
@@ -637,12 +634,6 @@ def run_experiment(cfg: ExperimentConfig, out_root) -> Path:
         series = [(variant, xs, ys) for variant, (xs, ys) in curves.items()]
         svg_plot(out_dir / "results.svg", series, plot[0], "test RMSE [m]", plot[1])
     return out_dir
-
-
-def _variant_config(cfg: ExperimentConfig, nl_mode: str) -> ExperimentConfig:
-    values = {s: dict(d) for s, d in cfg.values.items()}
-    values["model"]["nl_mode"] = nl_mode
-    return ExperimentConfig(values=values, hash_id=cfg.hash_id, text=cfg.text)
 
 
 def export_curves(cfg: ExperimentConfig, out_root) -> Path:

@@ -281,10 +281,6 @@ class UePosition:
         if not abs(self.azimuth_rad) < np.pi / 2:
             raise ValueError("azimuth must lie strictly inside +-90 degrees")
 
-    def plane_xy(self) -> np.ndarray:
-        """2-D position (r cos(theta), r sin(theta)) used by the loss."""
-        return plane_xy(self.range_m, self.azimuth_rad)
-
 
 def plane_xy(r, theta) -> np.ndarray:
     """Plane positions (r cos(theta), r sin(theta)) of polar estimates

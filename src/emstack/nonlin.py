@@ -310,8 +310,6 @@ class PowerLowpass(Activation):
         n = self.exponent
         v = np.asarray(v, dtype=float)
         value = self.coefficient * v ** n
-        if n == 1:
-            return value, np.full(v.shape, self.coefficient), None
         return value, self.coefficient * n * v ** (n - 1), None
 
 

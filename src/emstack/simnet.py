@@ -417,17 +417,6 @@ def amplitudes(model: SimModel, fields: np.ndarray, rows, layer: int | None = No
     return out
 
 
-def readout(output_field, scale: float, r_bounds) -> tuple:
-    """Map the two output amplitudes to (range, azimuth, xy position).
-
-    ``output_field`` is the complex field or its magnitudes
-    (:func:`amplitudes`).  Estimates are not clamped; out-of-range values
-    are the loss's problem, not the readout's.
-    """
-    range_est, azimuth_est = polar_estimates(np.abs(output_field), scale, r_bounds)
-    return range_est, azimuth_est, emfield.plane_xy(range_est, azimuth_est)
-
-
 def polar_estimates(amp, scale: float, r_bounds) -> tuple:
     """range = r_min + scale |y_1| (r_max - r_min) and
     azimuth = (2 scale |y_2| - 1) pi/2 of output amplitudes |y|."""

@@ -271,7 +271,7 @@ def score_estimates(dataset: Dataset, indices, r_hat, theta_hat) -> EvalResult:
 
 
 def _check_readout_width(model: simnet.SimModel) -> None:
-    # simnet.readout checks this too, but only after a forward pass
+    # simnet.polar_estimates checks this too, but only after a forward pass
     if model.propagation.output.shape[0] != 2:
         raise ValueError("readout requires exactly 2 output antennas")
 
@@ -283,7 +283,7 @@ def evaluate(model: simnet.SimModel, dataset: Dataset, indices) -> EvalResult:
         raise ValueError("model has no readout scale; calibrate before evaluating")
     amp = simnet.amplitudes(model, dataset.fields, indices)
     bounds = (dataset.scenario.r_min_m, dataset.scenario.r_max_m)
-    range_est, azimuth_est, _ = simnet.readout(amp, model.readout_scale, bounds)
+    range_est, azimuth_est = simnet.polar_estimates(amp, model.readout_scale, bounds)
     return score_estimates(dataset, indices, range_est, azimuth_est)
 
 

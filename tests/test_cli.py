@@ -88,6 +88,9 @@ class TestConfig:
             "[model]\nnl_layer_index = 9\n",
             "[scenario]\nr_min_m = 5\n",
             "[model]\nactivation = diode-table\n",  # trainable default clashes
+            # a depth sweep trains every nl_mode, so it has a trainable diode-table point
+            "[model]\nnl_mode = static-random\nactivation = diode-table\n"
+            "[experiment]\nsweep = depth-L\n",
             "[model]\ntable_points = 100\n",
             "[curves]\nbias_shift_volts = -0.1\n",
             "[experiment]\nsweep = sideways\n",
@@ -140,6 +143,14 @@ class TestConfig:
                 cli.load_config(text)
         with pytest.raises(cli.ConfigError):
             cli.load_config("", overrides={"experiment.seed": -3})
+
+    @pytest.mark.parametrize("sweep", ["none", "nl-layer-index", "depth-L"])
+    @pytest.mark.parametrize("index", ["9", "x"])
+    def test_nl_layer_index_checked_under_every_sweep(self, sweep, index):
+        # the sweeps that place the nonlinear layer themselves still reject it
+        text = f"[model]\nnl_layer_index = {index}\n[experiment]\nsweep = {sweep}\n"
+        with pytest.raises(cli.ConfigError, match="nl_layer_index"):
+            cli.load_config(text)
 
     @pytest.mark.parametrize(
         "text",
@@ -356,6 +367,28 @@ class TestRunner:
         assert histories == names
         assert sorted(p.stem for p in (out / "models").glob("*.json")) == names
 
+    def test_depth_points_build_the_three_variants(self):
+        cfg = cli.load_config(DEPTH.replace("cells_per_side = 4", "cells_per_side = 3"))
+        geometry = cli.build_geometry(cfg, num_layers=2)
+        propagation = simnet.compute_propagation(geometry)
+        dataset = cli.build_dataset(cfg, geometry)
+        points = [p for p in cli.sweep_points(cfg) if p.depth == 2]
+        models = {
+            p.variant: cli.build_model(cfg, geometry, propagation, dataset, 7, p) for p in points
+        }
+        reference = baselines.linear_sim_model(geometry, np.random.default_rng(7), propagation)
+        assert models["linear"].nl_layer_set == frozenset()
+        for layer, want in zip(models["linear"].layers, reference.layers, strict=True):
+            assert layer.phases.tobytes() == want.phases.tobytes()
+        trained, frozen = models["trainable"], models["static-random"]
+        assert trained.nl_layer_set == frozen.nl_layer_set == {2}
+        for a, b in zip(trained.layers, frozen.layers, strict=True):
+            assert type(a) is type(b)
+            assert a.params.tobytes() == b.params.tobytes()
+        assert vars(trained.layers[1].activation) == vars(frozen.layers[1].activation)
+        assert [layer.trainable for layer in trained.layers] == [True, True]
+        assert [layer.trainable for layer in frozen.layers] == [True, False]
+
     def test_failed_records_write_keeps_existing_file(self, tmp_path):
         cfg = cli.load_config(TINY)
         path = tmp_path / "records.csv"
@@ -568,6 +601,20 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert err.startswith("config error:")
             assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_diode_table_depth_sweep_exits_1_before_any_work(self, tmp_path, capsys):
+        # its trainable point has no bias derivative; reject it before the output directory
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(
+            "[scenario]\ncells_per_side = 4\n"
+            "[model]\nnl_mode = static-random\nactivation = diode-table\n"
+            "[experiment]\nsweep = depth-L\ndepth_values = 2\n"
+        )
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
     def test_infinite_loss_exits_2(self, tmp_path, monkeypatch):

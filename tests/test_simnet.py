@@ -456,7 +456,8 @@ class TestProperties:
         r = r_min + r_frac * width
         amplitudes = np.array([(r - r_min) / width, theta / np.pi + 0.5]) / scale
         y = amplitudes * np.exp(1j * np.array(phases))
-        range_est, azimuth_est, position = simnet.readout(y, scale, (r_min, r_max))
+        range_est, azimuth_est = simnet.polar_estimates(np.abs(y), scale, (r_min, r_max))
+        position = emfield.plane_xy(range_est, azimuth_est)
         assert abs(range_est - r) <= 1e-12
         assert abs(azimuth_est - theta) <= 1e-12
         np.testing.assert_allclose(
@@ -590,35 +591,36 @@ class TestReadout:
     def test_endpoints(self):
         scale = 0.25
         y = np.array([0.0 + 0.0j, 0.0 + 0.0j])
-        r, th, pos = simnet.readout(y, scale, (1.0, 3.0))
+        r, th = simnet.polar_estimates(np.abs(y), scale, (1.0, 3.0))
         assert r == pytest.approx(1.0)
         assert th == pytest.approx(-np.pi / 2.0)
 
         y = np.array([1.0 / scale + 0.0j, 1.0 / scale * 1j])
-        r, th, pos = simnet.readout(y, scale, (1.0, 3.0))
+        r, th = simnet.polar_estimates(np.abs(y), scale, (1.0, 3.0))
         assert r == pytest.approx(3.0)
         assert th == pytest.approx(np.pi / 2.0)
 
     def test_position_is_polar_conversion(self):
         rng = np.random.default_rng(14)
         y = random_field(rng, (6, 2))
-        r, th, pos = simnet.readout(y, 0.5, (1.0, 3.0))
+        r, th = simnet.polar_estimates(np.abs(y), 0.5, (1.0, 3.0))
+        pos = emfield.plane_xy(r, th)
         np.testing.assert_allclose(pos[..., 0], r * np.cos(th), rtol=1e-12)
         np.testing.assert_allclose(pos[..., 1], r * np.sin(th), rtol=1e-12)
 
     def test_phase_of_output_is_ignored(self):
         y = np.array([2.0 + 0.0j, 1.0 + 0.0j])
         spun = y * np.exp(1j * 0.7)
-        a = simnet.readout(y, 0.3, (1.0, 3.0))
-        b = simnet.readout(spun, 0.3, (1.0, 3.0))
-        np.testing.assert_allclose(a[2], b[2], rtol=1e-12)
+        a = emfield.plane_xy(*simnet.polar_estimates(np.abs(y), 0.3, (1.0, 3.0)))
+        b = emfield.plane_xy(*simnet.polar_estimates(np.abs(spun), 0.3, (1.0, 3.0)))
+        np.testing.assert_allclose(a, b, rtol=1e-12)
 
     def test_validation(self):
         y = np.zeros(2, dtype=complex)
         with pytest.raises(ValueError):
-            simnet.readout(y, 0.0, (1.0, 3.0))
+            simnet.polar_estimates(np.abs(y), 0.0, (1.0, 3.0))
         with pytest.raises(ValueError):
-            simnet.readout(np.zeros(3, dtype=complex), 0.5, (1.0, 3.0))
+            simnet.polar_estimates(np.zeros(3), 0.5, (1.0, 3.0))
 
 
 class TestBackward:

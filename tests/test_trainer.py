@@ -85,8 +85,10 @@ class TestSplits:
         np.testing.assert_array_equal(
             ds.field_matrix(idx), np.stack([samples[i].input_field for i in idx])
         )
+        positions = [samples[i].position for i in idx]
         np.testing.assert_array_equal(
-            ds.position_matrix(idx), np.stack([samples[i].position.plane_xy() for i in idx])
+            ds.position_matrix(idx),
+            np.stack([emfield.plane_xy(p.range_m, p.azimuth_rad) for p in positions]),
         )
         np.testing.assert_array_equal(ds.r, [s.position.range_m for s in samples])
         np.testing.assert_array_equal(ds.theta, [s.position.azimuth_rad for s in samples])
@@ -105,8 +107,9 @@ class TestSplits:
         rng = np.random.default_rng(21)
         samples = [emfield.draw_sample(geom, scenario, rng) for _ in range(count)]
         np.testing.assert_array_equal(ds.fields, np.stack([s.input_field for s in samples]))
+        positions = [s.position for s in samples]
         np.testing.assert_array_equal(
-            ds.positions, np.stack([s.position.plane_xy() for s in samples])
+            ds.positions, np.stack([emfield.plane_xy(p.range_m, p.azimuth_rad) for p in positions])
         )
         np.testing.assert_array_equal(ds.r, [s.position.range_m for s in samples])
         np.testing.assert_array_equal(ds.theta, [s.position.azimuth_rad for s in samples])
@@ -320,7 +323,7 @@ class TestLossPlumbing:
         y = rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2))
         targets = rng.uniform(-1.0, 1.0, (8, 2))
         loss, _ = trainer.position_loss_and_cotangent(y, targets, 0.5, (1.0, 3.0))
-        _, _, p_hat = simnet.readout(y, 0.5, (1.0, 3.0))
+        p_hat = emfield.plane_xy(*simnet.polar_estimates(np.abs(y), 0.5, (1.0, 3.0)))
         assert np.sqrt(loss) == pytest.approx(trainer.position_rmse(p_hat, targets))
 
     def test_cotangent_matches_finite_differences(self):
