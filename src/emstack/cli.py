@@ -38,6 +38,7 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
+import numpy.random  # numpy loads it on first use; every run draws from it
 
 from . import baselines, emfield, nonlin, simnet, trainer
 

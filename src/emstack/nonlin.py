@@ -17,9 +17,8 @@ b <= 0 to the instantaneous input, F_b[s] = F[s + b], which moves the
 activation knee to higher envelopes.  Activation objects take the bias
 as an extra argument so one family serves a whole layer of cells.
 
-Only ``scipy.special`` is imported with the module.  The integrator and
-the optimizer load inside the two functions that call them, so a
-training run does not carry them (about 26 MB and 0.3 s per process).
+No scipy loads with the module, so a training run carries none: the
+integrator and the optimizer load inside the two functions that call them.
 """
 
 from __future__ import annotations
@@ -29,9 +28,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import wrightomega
 
 QUADRATURE_ABS_TOL = 1e-9
+_OMEGA_BLOCK = 4096  # elements per block of _wright_omega: its temporaries stay small
 
 
 class QuadratureError(RuntimeError):
@@ -178,6 +177,36 @@ class DiodeCircuit(BandpassNL):
 # ---------------------------------------------------------------------------
 
 
+def _fsc_step(x, w):
+    """One Fritsch-Shafer-Crowley step toward w + ln w = x: (w, residual, w + 1)."""
+    r = x - w - np.log(w)
+    wp1 = w + 1.0
+    a = 2.0 * wp1 * (wp1 + 2.0 / 3.0 * r)
+    return w * (1.0 + r / wp1 * (a - r) / (a - 2.0 * r)), r, wp1
+
+
+def _wright_omega(z):
+    """Overwrite the C-contiguous float array z with omega(z), the w with w + ln w = z."""
+    flat = z.reshape(-1)  # a view, since z is C-contiguous; so is each block
+    for x in np.split(flat, range(_OMEGA_BLOCK, flat.size, _OMEGA_BLOCK)):
+        i = np.flatnonzero((x >= -50.0) & (x <= 1e20))
+        # below -50, exp(x) is omega to double precision; above 1e20, x is
+        np.exp(x, out=x, where=x < -50.0)
+        x_i = x[i]
+        # start from exp(x), exp(2 (x - 1) / 3) or x - ln x + ln x / x
+        w = np.where(x_i < -2.0, x_i, 2.0 * (x_i - 1.0) / 3.0)
+        np.exp(w, out=w, where=x_i < 1.0)
+        h = np.flatnonzero(x_i >= 1.0)
+        log_x = np.log(x_i[h])
+        w[h] = x_i[h] - log_x + log_x / x_i[h]
+        w, r, wp1 = _fsc_step(x_i, w)
+        # a second step only where the first one's error bound exceeds eps
+        bound = np.abs((2.0 * w * w - 8.0 * w - 1.0) * np.abs(r) ** 4.0)
+        j = np.flatnonzero(bound >= np.finfo(float).eps * 72.0 * np.abs(wp1) ** 6.0)
+        w[j] = _fsc_step(x_i[j], w[j])[0]
+        x[i] = w
+
+
 def diode_bandpass_response(params: DiodeCircuitParams, instantaneous_input):
     """Transmitted voltage u solving u = R_A I_s (exp(2 alpha (s - u)) - 1).
 
@@ -185,9 +214,9 @@ def diode_bandpass_response(params: DiodeCircuitParams, instantaneous_input):
     the same shape).  The bias, when nonzero, is folded into the input
     as s + b.  With w = u + R_A I_s the equation reads
     2 alpha w + ln(2 alpha w) = z, z = ln(2 alpha R_A I_s) + 2 alpha (s + b + R_A I_s),
-    so 2 alpha w = omega(z), the Wright omega function, and
-    u = omega(z) / (2 alpha) - R_A I_s in closed form.  A zero effective
-    input returns exactly 0.
+    so 2 alpha w = omega(z), the Wright omega function (Algorithm 917 of
+    ACM TOMS 38(3), 2012, by Lawrence, Corless & Jeffrey), and u =
+    omega(z) / (2 alpha) - R_A I_s; a zero effective input gives exactly 0.
 
     Raises
     ------
@@ -205,10 +234,10 @@ def diode_bandpass_response(params: DiodeCircuitParams, instantaneous_input):
     # evaluated in place: one output array, no full-size temporaries
     try:
         with np.errstate(over="raise"):
-            u = np.add(s, params.bias_volts, out=np.empty_like(s))
+            u = np.add(s, params.bias_volts, out=np.empty(s.shape))  # C order for _wright_omega
             u *= alpha2
             u += alpha2 * ri + math.log(alpha2 * ri)
-            wrightomega(u, out=u)
+            _wright_omega(u)
             u /= alpha2
             u -= ri
     except FloatingPointError as exc:

@@ -203,34 +203,45 @@ class TestRunVerb:
         assert len(recs) == 10
         assert (out / "config.ini").read_text() == cfg.text
 
-    def test_run_loads_neither_integrator_nor_optimizer(self, tmp_path):
-        # both are imported by the one function that calls each, so a fresh
-        # `run` process stays free of them and their 26 MB
-        text = TINY.replace("nl_mode = linear", "nl_mode = trainable\nactivation = relu-fit")
-        cfg_path = tmp_path / "cfg.ini"
-        cfg_path.write_text(text.replace("epochs = 0", "epochs = 1"))
+    def test_run_loads_no_scipy(self, tmp_path):
+        # the diode response is numpy only, and the integrator and the optimizer are
+        # imported by the one function that calls each, so a fresh `run` process,
+        # with or without diode-table cells, loads no scipy module at all
+        tiny = TINY.replace("epochs = 0", "epochs = 1")
+        configs = {
+            "relu-fit": tiny.replace("nl_mode = linear", "nl_mode = trainable\nactivation = relu-fit"),
+            "diode-table": tiny.replace(
+                "nl_mode = linear",
+                "nl_mode = static-random\nactivation = diode-table\ntable_points = 512",
+            ),
+        }
         script = (
             "import json, sys\n"
             "from emstack import cli, nonlin\n"
             "code = cli.main(['run', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
-            "loaded = [m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules]\n"
+            "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
             "fit = nonlin.fit_relu_approximation(nonlin.FittedRelu(0.7, 0.33), (0.0, 1.0))\n"
             "quad = nonlin.lowpass_from_bandpass(nonlin.ShiftedRelu(-0.5), 1.0)\n"
             "print(json.dumps([code, loaded, quad, fit.gain, fit.knee, fit.residual_rms]))\n"
         )
-        proc = subprocess.run(
-            [sys.executable, "-W", "error::RuntimeWarning", "-c", script, str(cfg_path), tmp_path],
-            env=_fresh_interpreter_env(),
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 0, proc.stderr
-        code, loaded, quad, *fit = json.loads(proc.stdout.splitlines()[-1])
-        assert (code, loaded) == (0, [])
-        # the same results as in this process, where both are loaded
+        # the same results as in this process, where scipy is loaded
         want = nonlin.fit_relu_approximation(nonlin.FittedRelu(0.7, 0.33), (0.0, 1.0))
-        assert fit == [want.gain, want.knee, want.residual_rms]
-        assert quad == nonlin.lowpass_from_bandpass(nonlin.ShiftedRelu(-0.5), 1.0)
+        want_quad = nonlin.lowpass_from_bandpass(nonlin.ShiftedRelu(-0.5), 1.0)
+        for name, text in configs.items():
+            cfg_path = tmp_path / f"{name}.ini"
+            cfg_path.write_text(text)
+            proc = subprocess.run(
+                [sys.executable, "-W", "error::RuntimeWarning", "-c", script, str(cfg_path),
+                 tmp_path / name],
+                env=_fresh_interpreter_env(),
+                capture_output=True,
+                text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+            code, loaded, quad, *fit = json.loads(proc.stdout.splitlines()[-1])
+            assert (name, code, loaded) == (name, 0, [])
+            assert fit == [want.gain, want.knee, want.residual_rms]
+            assert quad == want_quad
 
     def test_history_file_matches_train_result(self, tmp_path, monkeypatch):
         results, real_train = [], trainer.train

@@ -291,6 +291,64 @@ class TestDiodeSolver:
             nonlin.DiodeCircuitParams(alpha_per_volt=1.0, bias_volts=0.1)
 
 
+class TestWrightOmega:
+    """The numpy Wright omega of the diode response against scipy's."""
+
+    RTOL = 4e-15
+
+    @staticmethod
+    def omega(z):
+        out = np.array(z, dtype=float)  # a C-contiguous copy
+        # every flag but underflow raises: no masked-out element reaches exp or log
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            nonlin._wright_omega(out)
+        return out
+
+    def assert_matches_scipy(self, z):
+        # the reference only: emstack itself loads no scipy.special
+        from scipy.special import wrightomega
+
+        want, got = wrightomega(z), self.omega(z)
+        zero = want == 0.0
+        np.testing.assert_array_equal(got[zero], 0.0)
+        worst = float(np.max(np.abs(got - want)[~zero] / want[~zero]))
+        assert worst <= self.RTOL, f"max relative difference {worst:.3e}"
+
+    def test_diode_table_arguments(self):
+        # the arguments diode_activation passes for a 2048-point table on [0, 1] V
+        phi, _ = nonlin._gauss_legendre_nodes(nonlin._QUADRATURE_NODES)
+        s = nonlin.tabulation_grid(1.0, 2048)[:, None] * np.cos(phi)
+        ri = 73.0 * 1e-6
+        for alpha in (33.0, 56.0, 80.0):
+            self.assert_matches_scipy(2 * alpha * s + (2 * alpha * ri + np.log(2 * alpha * ri)))
+
+    def test_uniform_wide_range(self):
+        z = np.random.default_rng(25).uniform(-800.0, 800.0, 10**6)
+        self.assert_matches_scipy(z)
+
+    def test_branch_edges(self):
+        edges = np.array([-50.0, -2.0, 1.0, 1e20])
+        z = np.concatenate([np.nextafter(edges, -np.inf), edges, np.nextafter(edges, np.inf)])
+        self.assert_matches_scipy(z)
+
+    def test_underflow_is_exactly_zero(self):
+        z = np.array([-746.0, -800.0, -1e4, -1e300])
+        got = self.omega(z)
+        assert np.all(got == 0.0) and not np.signbit(got).any()
+
+    def test_zero_dimensional(self):
+        self.assert_matches_scipy(np.array(0.3))
+        assert self.omega(np.array(-3.0)).shape == ()
+
+    def test_memory_layouts(self):
+        p = nonlin.DiodeCircuitParams(alpha_per_volt=56.0)
+        s = np.random.default_rng(5).uniform(-1.0, 1.0, (97, 151))
+        want = nonlin.diode_bandpass_response(p, s)
+        np.testing.assert_array_equal(nonlin.diode_bandpass_response(p, np.asfortranarray(s)), want)
+        np.testing.assert_array_equal(nonlin.diode_bandpass_response(p, s.T), want.T)
+        np.testing.assert_array_equal(nonlin.diode_bandpass_response(p, s[:, ::3]), want[:, ::3])
+
+
 class TestDiodeActivation:
     def test_zero_envelope_zero_output(self):
         for bias in (0.0, -0.4):
