@@ -86,11 +86,22 @@ steering_rows = emfield.steering_rows
 _BLOCK_ROWS = 1024  # steering rows built per block
 
 
-def _field_vector(input_field, geometry: emfield.SimGeometry) -> np.ndarray:
+def _folded_field(input_field, geometry: emfield.SimGeometry) -> np.ndarray:
+    """F s: each y row j of the field plus its mirror n-1-j (the centre
+    row once), over the first ceil(n/2) y rows.
+
+    A steering row a repeats under the y mirror (see
+    :func:`emfield.steering_rows`), so a^H s = a_u^H F s, with a_u the
+    first ceil(n/2) * n entries of a.
+    """
     s = np.asarray(input_field, dtype=complex)
     if s.shape != (geometry.num_cells,):
         raise ValueError("input field must be a length-M vector")
-    return s
+    n = geometry.cells_per_side
+    grid = s.reshape(n, n)
+    folded = grid[: (n + 1) // 2].copy()
+    folded[: n // 2] += grid[::-1][: n // 2]
+    return folded.reshape(-1)
 
 
 def _steering_blocks(geometry: emfield.SimGeometry, grid: SearchGrid):
@@ -123,12 +134,12 @@ def ml_metric_map(input_field, geometry: emfield.SimGeometry, grid: SearchGrid) 
     """Matched-filter power |a(r, theta)^H s|^2 over the whole grid.
 
     Shape (num_r, num_theta); evaluated in row blocks to bound the
-    steering-matrix working set.
+    steering-matrix working set, on each row's unique mirror half.
     """
-    s = _field_vector(input_field, geometry)
+    f = _folded_field(input_field, geometry)
     metric = np.empty(grid.shape).reshape(-1)
     for start, stop, rows in _steering_blocks(geometry, grid):
-        metric[start:stop] = _match_power(rows.conj(), s)
+        metric[start:stop] = _match_power(rows[:, : f.size].conj(), f)
     return metric.reshape(grid.shape)
 
 
@@ -151,11 +162,13 @@ def _coarse_steering(
     coarse_size: int,
 ) -> np.ndarray:
     """Read-only conj(steering) of the two-stage coarse grid, one row
-    per grid point in flat order, built in row blocks."""
+    per grid point in flat order, built in row blocks; each row holds
+    its unique mirror half (see :func:`_folded_field`)."""
     grid = make_search_grid(r_bounds, theta_max_rad, coarse_size, coarse_size)
-    conj = np.empty((coarse_size * coarse_size, geometry.num_cells), dtype=complex)
+    n = geometry.cells_per_side
+    conj = np.empty((coarse_size * coarse_size, (n + 1) // 2 * n), dtype=complex)
     for start, stop, rows in _steering_blocks(geometry, grid):
-        np.conjugate(rows, out=conj[start:stop])
+        np.conjugate(rows[:, : conj.shape[1]], out=conj[start:stop])
     conj.flags.writeable = False
     return conj
 
@@ -174,20 +187,21 @@ def ml_estimate_two_stage(
     exhaustive grid at roughly 1% of its cost; the refinement window is
     clipped at the search bounds.
 
-    The coarse stage scores the field against a conjugated steering
-    matrix that is built once per (geometry, r_bounds, theta_max_rad,
-    coarse_size) and reused by later calls.  It holds
-    M x coarse_size**2 x 16 bytes: 10 MB at 8x8 cells and 256 MB at
-    40x40 cells with the default 100x100 grid.  Only the most recent
-    matrix is kept, and it is read-only.  The refinement stage and
-    :func:`ml_estimate` build their steering rows on every call.
+    The coarse stage scores the folded field against a conjugated
+    steering matrix that is built once per (geometry, r_bounds,
+    theta_max_rad, coarse_size) and reused by later calls.  It holds the
+    unique mirror half of each row, ceil(n/2) x n x coarse_size**2 x 16
+    bytes: 5 MB at 8x8 cells and 128 MB at 40x40 cells with the default
+    100x100 grid.  Only the most recent matrix is kept, and it is
+    read-only.  The refinement stage and :func:`ml_estimate` build their
+    steering rows on every call.
     """
-    s = _field_vector(input_field, geometry)
+    f = _folded_field(input_field, geometry)
     r_lo, r_hi = float(r_bounds[0]), float(r_bounds[1])
     th_max = float(theta_max_rad)
     coarse = make_search_grid((r_lo, r_hi), th_max, coarse_size, coarse_size)
     conj = _coarse_steering(geometry, (r_lo, r_hi), th_max, coarse_size)
-    r0, th0 = _peak_point(_match_power(conj, s), coarse)
+    r0, th0 = _peak_point(_match_power(conj, f), coarse)
     dr = float(coarse.r_points[1] - coarse.r_points[0])
     dth = float(coarse.theta_points[1] - coarse.theta_points[0])
     fine = SearchGrid(
@@ -196,7 +210,7 @@ def ml_estimate_two_stage(
             max(th0 - dth, -th_max), min(th0 + dth, th_max), refine_size
         ),
     )
-    return ml_estimate(s, geometry, fine)
+    return ml_estimate(input_field, geometry, fine)
 
 
 def evaluate_ml(

@@ -434,7 +434,7 @@ def _matched_filter(cfg: ExperimentConfig, geometry, dataset) -> trainer.EvalRes
         ex["ml_coarse"], ex["ml_refine"],
     )
     result = baselines.evaluate_ml(dataset, geometry, dataset.split.test, estimator)
-    # the two-stage coarse steering matrix (256 MB at 40x40 cells) is not used again
+    # the two-stage coarse steering matrix (128 MB at 40x40 cells) is not used again
     baselines._coarse_steering.cache_clear()
     if not np.isfinite(result.rmse):
         raise NumericalFailure("non-finite matched-filter RMSE")
@@ -848,12 +848,15 @@ def main(argv=None) -> int:
         if args.verb == "check":
             return 0 if self_check(args.seed if args.seed is not None else 0) else 2
         cfg = _load_from_args(args)
-        if args.verb == "run":
-            out = run_experiment(cfg, args.out)
-        elif args.verb == "curves":
-            out = export_curves(cfg, args.out)
-        else:
-            out = run_ml_baseline(cfg, args.out)
+        # an overflow, invalid operation or division by zero in the numeric
+        # work is a numerical failure, not a warning behind an exit code of 0
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            if args.verb == "run":
+                out = run_experiment(cfg, args.out)
+            elif args.verb == "curves":
+                out = export_curves(cfg, args.out)
+            else:
+                out = run_ml_baseline(cfg, args.out)
         print(f"results written to {out}")
         return 0
     except ConfigError as exc:

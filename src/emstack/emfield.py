@@ -296,15 +296,18 @@ def steering_rows(geometry: SimGeometry, r_values, theta_values, out=None) -> np
     distance from the source to the layer center and r_m the distance
     to cell m, so every row has unit Euclidean norm by construction.
     Vectorized so the grid search does not pay per-point Python
-    overhead.
+    overhead.  The cells are centred and every source sits at y = 0, so
+    y row j (x fastest) and its mirror n-1-j lie at the same distance:
+    the first ceil(n/2) y rows are evaluated and copied to their mirrors.
     """
     r = np.asarray(r_values, dtype=float)
     th = np.asarray(theta_values, dtype=float)
-    cells = geometry.cell_positions[0]
+    n = geometry.cells_per_side
+    cells = geometry.cell_positions[0][: (n + 1) // 2 * n]
     # per-axis differences to the source at (r sin(theta), 0, -r cos(theta)),
     # squared and summed in place; numpy buffers each broadcast operand, so
     # a difference starts as a copy of its cell column
-    shape = (r.size, geometry.num_cells)
+    shape = (r.size, len(cells))
     dist = np.broadcast_to(cells[:, 0], shape).copy()
     dist -= (r * np.sin(th))[:, None]
     dz = np.broadcast_to(cells[:, 2], shape).copy()
@@ -314,9 +317,14 @@ def steering_rows(geometry: SimGeometry, r_values, theta_values, out=None) -> np
     dist += np.multiply(dz, dz, out=dz)
     del dz
     np.subtract(r[:, None], np.sqrt(dist, out=dist), out=dist)
-    out = np.multiply(-1j * geometry.wavenumber, dist, out=out)
-    np.exp(out, out=out)
-    out /= np.sqrt(geometry.num_cells)
+    if out is None:
+        out = np.empty((r.size, geometry.num_cells), dtype=complex)
+    unique = out[:, : len(cells)]
+    np.multiply(-1j * geometry.wavenumber, dist, out=unique)
+    np.exp(unique, out=unique)
+    unique /= np.sqrt(geometry.num_cells)
+    grid = out.reshape(r.size, n, n)  # splits the cell axis: always a view
+    grid[:, n - n // 2 :] = grid[:, : n // 2][:, ::-1]
     return out
 
 

@@ -27,11 +27,40 @@ def los_field(geometry, r, theta, amplitude=1.0 + 0.0j):
     return amplitude * emfield.array_response(geometry, pos)
 
 
-def two_stage_reference(field, geometry, r_bounds, theta_max, coarse_size, refine_size):
+def unfolded_steering_rows(geometry, r, th):
+    """The steering formula evaluated on every cell, with no mirror copy:
+    the same operations in the same order as ``emfield.steering_rows``."""
+    cells = geometry.cell_positions[0]
+    shape = (r.size, geometry.num_cells)
+    dist = np.broadcast_to(cells[:, 0], shape).copy()
+    dist -= (r * np.sin(th))[:, None]
+    dz = np.broadcast_to(cells[:, 2], shape).copy()
+    dz += (r * np.cos(th))[:, None]
+    dist *= dist
+    dist += cells[:, 1] * cells[:, 1]
+    dist += dz * dz
+    out = np.multiply(-1j * geometry.wavenumber, r[:, None] - np.sqrt(dist))
+    np.exp(out, out=out)
+    out /= np.sqrt(geometry.num_cells)
+    return out
+
+
+def unfolded_estimate(field, geometry, grid):
+    """Argmax of |a^H s|^2 scored on full-width steering rows."""
+    r = np.repeat(grid.r_points, grid.shape[1])
+    th = np.tile(grid.theta_points, grid.shape[0])
+    metric = np.abs(unfolded_steering_rows(geometry, r, th).conj() @ field) ** 2
+    i_r, i_th = divmod(int(np.argmax(metric)), grid.shape[1])
+    return float(grid.r_points[i_r]), float(grid.theta_points[i_th])
+
+
+def two_stage_reference(
+    field, geometry, r_bounds, theta_max, coarse_size, refine_size, estimate=baselines.ml_estimate
+):
     """Uncached two-stage search: exhaustive coarse grid, then the
-    clipped refinement window, both through ``ml_estimate``."""
+    clipped refinement window, both through ``estimate``."""
     coarse = baselines.make_search_grid(r_bounds, theta_max, coarse_size, coarse_size)
-    r0, th0 = baselines.ml_estimate(field, geometry, coarse)
+    r0, th0 = estimate(field, geometry, coarse)
     dr = float(coarse.r_points[1] - coarse.r_points[0])
     dth = float(coarse.theta_points[1] - coarse.theta_points[0])
     fine = baselines.SearchGrid(
@@ -42,7 +71,7 @@ def two_stage_reference(field, geometry, r_bounds, theta_max, coarse_size, refin
             max(th0 - dth, -theta_max), min(th0 + dth, theta_max), refine_size
         ),
     )
-    return baselines.ml_estimate(field, geometry, fine)
+    return estimate(field, geometry, fine)
 
 
 class TestLinearSimModel:
@@ -140,6 +169,22 @@ class TestSteeringRows:
             want = np.exp(-1j * k * (r[i] - dist)) / 4.0
             np.testing.assert_allclose(rows[i], want, rtol=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 40])
+    def test_mirror_copy_keeps_every_bit(self, n):
+        geom = near_field_geometry(cells_per_side=n)
+        rng = np.random.default_rng(n)
+        r, th = rng.uniform(1.0, 3.0, 37), rng.uniform(-1.2, 1.2, 37)
+        want = unfolded_steering_rows(geom, r, th).view(float)
+        np.testing.assert_array_equal(baselines.steering_rows(geom, r, th).view(float), want)
+        # into rows of a larger buffer, as the dataset draw writes them
+        buffer = np.full((40, geom.num_cells), np.nan, dtype=complex)
+        got = baselines.steering_rows(geom, r, th, out=buffer[2:39])
+        assert np.shares_memory(got, buffer)
+        np.testing.assert_array_equal(buffer[2:39].view(float), want)
+        assert np.isnan(buffer[[0, 1, 39]]).all()
+        grid = buffer[2:39].reshape(-1, n, n)
+        np.testing.assert_array_equal(grid.view(float), grid[:, ::-1].view(float))
+
 
 class TestMlEstimate:
     def test_on_grid_target_recovered_exactly(self):
@@ -188,6 +233,19 @@ class TestMlEstimate:
                 )
                 direct = abs(np.vdot(a, field)) ** 2
                 assert metric[i, j] == pytest.approx(direct, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_folded_metric_matches_full_width_scoring(self, n):
+        # odd and even grids, against |a^H s|^2 on unfolded whole rows
+        geom = near_field_geometry(cells_per_side=n)
+        grid = baselines.make_search_grid((1.0, 3.0), np.deg2rad(70.0), 12, 13)
+        rng = np.random.default_rng(n)
+        field = rng.standard_normal(geom.num_cells) + 1j * rng.standard_normal(geom.num_cells)
+        r = np.repeat(grid.r_points, grid.shape[1])
+        th = np.tile(grid.theta_points, grid.shape[0])
+        full = np.abs(unfolded_steering_rows(geom, r, th).conj() @ field) ** 2
+        metric = baselines.ml_metric_map(field, geom, grid)
+        np.testing.assert_allclose(metric, full.reshape(grid.shape), rtol=1e-12)
 
     def test_block_size_does_not_change_result(self, monkeypatch):
         geom = near_field_geometry(cells_per_side=8)
@@ -303,6 +361,18 @@ class TestCoarseSteeringCache:
         )
         np.testing.assert_array_equal(cached.records, reference.records)
 
+    def test_desk_test_split_matches_unfolded_scoring(self):
+        cfg = cli.load_config(cli.load_preset("desk"))
+        geom = cli.build_geometry(cfg)
+        ds = cli.build_dataset(cfg, geom)
+        sc, ex = cfg["scenario"], cfg["experiment"]
+        args = ((sc["r_min_m"], sc["r_max_m"]), np.deg2rad(sc["theta_max_deg"]))
+        sizes = (ex["ml_coarse"], ex["ml_refine"])
+        for i in ds.split.test[::2]:
+            got = baselines.ml_estimate_two_stage(ds.fields[i], geom, *args, *sizes)
+            want = two_stage_reference(ds.fields[i], geom, *args, *sizes, unfolded_estimate)
+            assert got == want, i
+
     def test_alternating_keys_never_serve_a_stale_matrix(self):
         geoms = (near_field_geometry(cells_per_side=4), near_field_geometry(cells_per_side=6))
         theta_max = np.deg2rad(70.0)
@@ -329,7 +399,9 @@ class TestCoarseSteeringCache:
             los_field(geom, 2.0, 0.3), geom, (1.0, 3.0), theta_max, coarse_size=10
         )
         conj = baselines._coarse_steering(geom, (1.0, 3.0), theta_max, 10)
-        assert conj.shape == (100, geom.num_cells)
+        # each row holds its unique mirror half: the first ceil(n/2) y rows
+        assert conj.shape == (100, 2 * 4)
+        assert conj.nbytes == 100 * geom.num_cells * 16 // 2
         assert not conj.flags.writeable
         with pytest.raises(ValueError):
             conj[0, 0] = 0.0

@@ -669,3 +669,27 @@ class TestExitCodes:
         )
         assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
         assert "all training outputs are zero" in capsys.readouterr().err
+
+    def test_adam_overflow_exits_2(self, tmp_path, capsys):
+        # Adam's bias step overflows in the second epoch: a numerical failure,
+        # not a warning followed by a checkpoint and exit code 0
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(
+            "[scenario]\ncells_per_side = 1\nnum_layers = 2\ncarrier_frequency_hz = 1e15\n"
+            "noise_power_dbm = 200\n"
+            "[model]\nnl_mode = trainable\nactivation = relu-fit\n"
+            "[training]\nnum_samples = 20\nepochs = 2\nseeds = 1\n"
+            "bias_learning_rate = 1e300\nbeta2 = 0\nepsilon = 1e-300\n"
+        )
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(["run", "--config", str(cfg_path), "--out", str(out)])
+        assert code == 2
+        assert not caught
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:") and "Traceback" not in err
+        for path in out.rglob("*"):
+            if path.is_file():
+                text = path.read_text()
+                assert "Infinity" not in text and "NaN" not in text, path.name
