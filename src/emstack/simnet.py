@@ -9,9 +9,10 @@ nonlinear layers).  A final coupling matrix maps the last layer onto a
 small output antenna array whose amplitudes encode range and azimuth.
 
 Gradients are hand-derived reverse-mode adjoints over exactly this
-operator set.  Complex cotangents are packed as
-c = dL/dRe(z) + j dL/dIm(z); real parameters (phases, biases) receive
-real gradients via Re[conj(c) dz/dparam].
+operator set.  The loss packs its cotangent as c = dL/dRe(y) + j dL/dIm(y);
+the backward pass carries g = conj(c) = 2 dL/dz (the CR-calculus gradient),
+so real parameters (phases, biases) receive Re[g dz/dparam] and, every
+coupling being reciprocal (W = W.T), the step back through it is ``apply``.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ class LinearLayer:
 
     Both layer classes have ``params`` (the phases or biases array),
     ``forward(z)`` -> (x, what ``backward`` needs),
-    ``backward(z, saved, cot_x)`` -> (cot_z, gradient or None if frozen)
+    ``backward(z, saved, g_x)`` -> (g_z, gradient or None if frozen)
     and ``step(delta)``: params - delta, phases wrapped modulo 2 pi,
     biases clamped to <= 0.
     """
@@ -55,15 +56,15 @@ class LinearLayer:
         phi = np.exp(1j * self.phases)
         return phi * z, phi
 
-    def backward(self, z, phi, cot_x):
+    def backward(self, z, phi, g_x):
         grad = None
         if self.trainable:
-            # Re[conj(c) j phi z] = -Im(phi conj(c) z), with conj(c) z
-            # summed over the batch before the per-cell phase
+            # Re[g j phi z] = -Im(phi g z), with g z summed over the batch
+            # before the per-cell phase
             rows = (-1, z.shape[-1])
-            batch_dot = np.einsum("bm,bm->m", np.conj(cot_x).reshape(rows), z.reshape(rows))
+            batch_dot = np.einsum("bm,bm->m", g_x.reshape(rows), z.reshape(rows))
             grad = -np.imag(phi * batch_dot)
-        return np.conj(phi) * cot_x, grad
+        return phi * g_x, grad
 
     def step(self, delta):
         self.phases = (self.phases - delta) % (2.0 * np.pi)
@@ -103,19 +104,20 @@ class NonlinearLayer:
         secant = amp / np.where(rho > 0.0, rho, 1.0)
         return direction * amp, (direction, slope, secant, dc_db if self.trainable else None)
 
-    def backward(self, z, saved, cot_x):
+    def backward(self, z, saved, g_x):
         direction, slope, secant, dc_db = saved
-        u = np.conj(cot_x) * direction
-        cot_z = direction * (slope * np.real(u) - 1j * secant * np.imag(u))
+        u = g_x * direction
+        g_z = direction * (slope * np.real(u) - 1j * secant * np.imag(u))
+        np.conjugate(g_z, out=g_z)
         if not self.trainable:
-            return cot_z, None
+            return g_z, None
         if dc_db is None:
             raise ValueError(
                 f"{type(self.activation).__name__} provides no bias derivative; "
                 "layer biases cannot be trainable"
             )
         grad = np.asarray(dc_db) * np.real(u)
-        return cot_z, grad.reshape(-1, grad.shape[-1]).sum(axis=0)
+        return g_z, grad.reshape(-1, grad.shape[-1]).sum(axis=0)
 
     def step(self, delta):
         self.biases = np.minimum(self.biases - delta, 0.0)
@@ -133,23 +135,17 @@ _TRIG_MIN_CELLS_PER_SIDE = 16
 
 @dataclass(frozen=True, eq=False)
 class DenseCoupling:
-    """Interlayer coupling held as the dense matrix W and conj(W) (small grids)."""
+    """Interlayer coupling held as the dense matrix W (small grids)."""
 
     matrix: np.ndarray
-    conj_matrix: np.ndarray
 
     @classmethod
     def build(cls, geometry: emfield.SimGeometry) -> "DenseCoupling":
-        w = emfield.rayleigh_sommerfeld_matrix(geometry, 1, 2).entries
-        return cls(w, np.conj(w))
+        return cls(emfield.rayleigh_sommerfeld_matrix(geometry, 1, 2).entries)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """x @ W.T over the trailing cell axis."""
         return x @ self.matrix.T
-
-    def adjoint(self, c: np.ndarray) -> np.ndarray:
-        """c @ conj(W); bit for bit np.conj(np.conj(c) @ W)."""
-        return c @ self.conj_matrix
 
 
 # Batch rows per TrigCoupling block.  Blocks are padded to it, so every product
@@ -203,16 +199,7 @@ class TrigCoupling:
         return cls(*arrays)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """x @ W.T over the trailing cell axis."""
-        return self._convolve(x, conjugate=False)
-
-    def adjoint(self, c: np.ndarray) -> np.ndarray:
-        """c @ conj(W) = conj(apply(conj(c))), W being symmetric."""
-        return self._convolve(c, conjugate=True)
-
-    def _convolve(self, x: np.ndarray, conjugate: bool) -> np.ndarray:
-        """The convolution in ``_TRIG_BLOCK_ROWS``-row blocks; ``conjugate``
-        conjugates the fold and the unfold in place (the y transforms are real).
+        """x @ W.T over the trailing cell axis, in ``_TRIG_BLOCK_ROWS``-row blocks.
 
         Two buffers of 2n (rows, n) slabs hold every stage; slabs 2k, 2k+1
         hold [C_k; S_k] in ``stacked`` and its product with T_k in
@@ -240,16 +227,12 @@ class TrigCoupling:
             upper[:, count:] = lower[:, count:] = 0.0
             np.add(upper, lower, out=even)
             np.subtract(upper[centre:], lower[centre:], out=odd)
-            if conjugate:
-                np.conjugate(products[:n], out=products[:n])
             np.matmul(self.cos_forward, real(even), out=real(stacked[::2]))
             np.matmul(self.sin_forward, real(odd), out=real(stacked[3::2]))
             stacked[1] = 0.0  # S_0 (slab 1 is also scratch)
             np.matmul(pairs, self.toeplitz, out=coupled)
             np.matmul(self.cos_inverse, real(products[::2]), out=real(even_back))
             np.matmul(self.sin_inverse, real(products[3::2]), out=real(odd_back))
-            if conjugate:
-                np.conjugate(stacked[:n], out=stacked[:n])
             np.add(even_back[centre:], odd_back, out=plus)
             np.subtract(even_back[centre:], odd_back, out=minus)
             dst = out[start:start + count].transpose(1, 0, 2)
@@ -267,7 +250,7 @@ class Propagation:
     :func:`emfield.rayleigh_sommerfeld_matrix` equal it up to last-bit
     rounding): a :class:`DenseCoupling` below ``_TRIG_MIN_CELLS_PER_SIDE``
     cells per side, else a :class:`TrigCoupling`.  Both offer ``apply(x)``
-    (= x @ W.T) and ``adjoint(c)`` (= c @ conj(W)).
+    (= x @ W.T).
     """
 
     interlayer: DenseCoupling | TrigCoupling | None  # None when L = 1
@@ -446,12 +429,12 @@ def backward(model: SimModel, trace: ForwardTrace, output_cotangent) -> dict:
     if trace.output_field is None or cot.shape != trace.output_field.shape:
         raise ValueError("cotangent shape must match the trace output")
     grads = {}
-    cot_x = cot @ np.conj(model.propagation.output)
+    g_x = np.conj(cot) @ model.propagation.output
     for i in range(model.num_layers - 1, -1, -1):
-        cot_z, grad = model.layers[i].backward(trace.pre_activation[i], trace.saved[i], cot_x)
+        g_z, grad = model.layers[i].backward(trace.pre_activation[i], trace.saved[i], g_x)
         if grad is not None:
             grads[i + 1] = grad
-        cot_x = cot_z if i == 0 else model.propagation.interlayer.adjoint(cot_z)
+        g_x = g_z if i == 0 else model.propagation.interlayer.apply(g_z)
     return grads
 
 

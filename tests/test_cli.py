@@ -1,17 +1,22 @@
 """Config parsing, experiment runner outputs, and exit codes."""
 
+import contextlib
 import dataclasses
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import emstack
 from emstack import baselines, cli, nonlin, simnet, trainer
@@ -34,6 +39,22 @@ nl_mode = linear
 ml_coarse = 30
 ml_refine = 5
 """
+
+
+# Adam's bias step overflows in the second epoch
+ADAM_OVERFLOW = (
+    "[scenario]\ncells_per_side = 1\nnum_layers = 2\ncarrier_frequency_hz = 1e15\n"
+    "noise_power_dbm = 200\n"
+    "[model]\nnl_mode = trainable\nactivation = relu-fit\n"
+    "[training]\nnum_samples = 20\nepochs = 2\nseeds = 1\n"
+    "bias_learning_rate = 1e300\nbeta2 = 0\nepsilon = 1e-300\n"
+)
+
+# the first diode's envelope is identically zero on [0, v_max]: no ReLU fits it
+ZERO_ENVELOPE = (
+    "[curves]\nalphas = 6.93418e+40, 33\nbias_shift_volts = 0\n"
+    "v_max = 1.90395e-256\nsamples = 13\n"
+)
 
 
 def _fresh_interpreter_env():
@@ -674,13 +695,7 @@ class TestExitCodes:
         # Adam's bias step overflows in the second epoch: a numerical failure,
         # not a warning followed by a checkpoint and exit code 0
         cfg_path = tmp_path / "cfg.ini"
-        cfg_path.write_text(
-            "[scenario]\ncells_per_side = 1\nnum_layers = 2\ncarrier_frequency_hz = 1e15\n"
-            "noise_power_dbm = 200\n"
-            "[model]\nnl_mode = trainable\nactivation = relu-fit\n"
-            "[training]\nnum_samples = 20\nepochs = 2\nseeds = 1\n"
-            "bias_learning_rate = 1e300\nbeta2 = 0\nepsilon = 1e-300\n"
-        )
+        cfg_path.write_text(ADAM_OVERFLOW)
         out = tmp_path / "out"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -693,3 +708,83 @@ class TestExitCodes:
             if path.is_file():
                 text = path.read_text()
                 assert "Infinity" not in text and "NaN" not in text, path.name
+
+    def test_zero_envelope_curves_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(ZERO_ENVELOPE)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = cli.main(["curves", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:") and "Traceback" not in err
+        assert err.count("\n") == 1 and "alpha 6.93418e+40" in err
+
+
+@st.composite
+def tiny_configs(draw):
+    """A `run` or `curves` config the schema accepts: a tiny model (no
+    diode tables, whose tabulation would take most of the budget) with
+    extreme learning rates, Adam constants, gains, carriers and powers."""
+
+    def pick(*values):
+        return draw(st.sampled_from(values))
+
+    if draw(st.booleans()):
+        alphas = draw(st.lists(st.sampled_from([1e-300, 18.0, 33.0, 6.93418e40, 1e300]),
+                               min_size=1, max_size=2, unique=True))
+        return "curves", (
+            f"[curves]\nalphas = {', '.join(map(repr, alphas))}\n"
+            f"bias_shift_volts = {pick(0.0, 0.4, 1e-300, 1e300)!r}\n"
+            f"v_max = {pick(1e-300, 1.90395e-256, 1.0, 1e200, 1e308)!r}\n"
+            f"samples = {draw(st.integers(2, 20))}\n"
+        )
+    return "run", (
+        f"[scenario]\ncells_per_side = {draw(st.integers(1, 4))}\n"
+        f"num_layers = {draw(st.integers(1, 3))}\n"
+        f"carrier_frequency_hz = {pick(1e6, 28e9, 1e15)!r}\n"
+        f"transmit_power_dbm = {pick(-300.0, 30.0, 300.0)!r}\n"
+        f"noise_power_dbm = {pick(-300.0, -110.0, 200.0, 300.0)!r}\n"
+        f"[model]\nnl_mode = {pick('trainable', 'static-random', 'linear')}\n"
+        f"activation = {pick('relu-fit', 'smooth')}\n"
+        f"activation_gain = {pick(1e-300, 0.5, 1e300)!r}\n"
+        f"bias_scale_factor = {pick(0.0, 3.0, 1e300)!r}\n"
+        f"[training]\nnum_samples = {draw(st.integers(10, 30))}\n"
+        f"epochs = {draw(st.integers(0, 2))}\nseeds = 1\n"
+        f"batch_size = {draw(st.integers(1, 64))}\n"
+        f"learning_rate = {pick(1e-300, 1e-2, 1e300)!r}\n"
+        f"bias_learning_rate = {pick(1e-9, 1e300)!r}\n"
+        f"beta2 = {pick(0.0, 0.999)!r}\n"
+        f"epsilon = {pick(1e-300, 1e-8, 1e300)!r}\n"
+        "[experiment]\nml_coarse = 5\nml_refine = 3\n"
+    )
+
+
+_NON_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
+
+
+class TestExitCodeFuzz:
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(case=tiny_configs())
+    @example(case=("run", ADAM_OVERFLOW))
+    @example(case=("curves", ZERO_ENVELOPE))
+    def test_exit_code_contract(self, case):
+        # 0, 1 or 2 with no exception, traceback or warning; an exit-0
+        # run writes only finite numbers
+        verb, text = case
+        stderr = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            warnings.simplefilter("error", RuntimeWarning)
+            cfg_path = Path(tmp) / "cfg.ini"
+            cfg_path.write_text(text)
+            out = Path(tmp) / "out"
+            with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main([verb, "--config", str(cfg_path), "--out", str(out)])
+            assert code in (0, 1, 2)
+            assert not caught, [str(w.message) for w in caught]
+            err = stderr.getvalue()
+            assert "Traceback" not in err and "Warning" not in err, err
+            if code == 0:
+                for path in [*out.rglob("*.csv"), *out.rglob("*.json")]:
+                    assert not _NON_FINITE.search(path.read_text()), path.name

@@ -268,22 +268,24 @@ class TestCouplingOperator:
         seed=st.integers(0, 2 ** 32 - 1),
     )
     def test_adjoint_identity(self, backend, n, spacing_m, batch, seed):
-        # <W x, c> = <x, W^H c>, with W^H c in row form c @ conj(W)
+        # sum(W x . g) = sum(x . W g): W = W.T, so the backward pass steps
+        # its conjugated cotangents through the coupling by ``apply``
         op = backend.build(spaced_geometry(n, spacing_m=spacing_m))
         rng = np.random.default_rng(seed)
         x = random_field(rng, (batch, n * n))
-        c = random_field(rng, (batch, n * n))
-        wx, whc = op.apply(x), op.adjoint(c)
+        g = random_field(rng, (batch, n * n))
+        wx, wg = op.apply(x), op.apply(g)
         scale = max(
-            np.linalg.norm(wx) * np.linalg.norm(c), np.linalg.norm(x) * np.linalg.norm(whc)
+            np.linalg.norm(wx) * np.linalg.norm(g), np.linalg.norm(x) * np.linalg.norm(wg)
         )
-        assert abs(np.vdot(wx, c) - np.vdot(x, whc)) <= 1e-12 * scale
+        assert abs(np.sum(wx * g) - np.sum(x * wg)) <= 1e-12 * scale
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 21, 28, 40])
     def test_trig_matches_dense_reference(self, n):
         # odd and even n fold about a centre row and between two rows
         geom = spaced_geometry(n)
         ref = emfield.rayleigh_sommerfeld_matrix(geom, 1, 2).entries
+        assert np.array_equal(ref, ref.T)  # reciprocal coupling, bit for bit
         op = simnet.TrigCoupling.build(geom)
         rng = np.random.default_rng(n)
         m = geom.num_cells
@@ -293,17 +295,17 @@ class TestCouplingOperator:
         edges = [(1, m), (b - 1, m), (b, m), (b + 1, m), (8 * b + 1, m), (2, b + 1, m)]
         for shape in [(m,), (3, m), (2, 3, m)] + edges:
             x = random_field(rng, shape)
-            for got, want in ((op.apply(x), x @ ref.T), (op.adjoint(x), x @ np.conj(ref))):
-                assert got.shape == shape
-                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+            got, want = op.apply(x), x @ ref.T
+            assert got.shape == shape
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
-    @pytest.mark.parametrize("n", [4, 8, 15])
-    def test_dense_adjoint_is_the_conjugated_product(self, n):
-        op = simnet.DenseCoupling.build(spaced_geometry(n))
-        rng = np.random.default_rng(n)
-        for shape in [(n * n,), (1, n * n), (64, n * n)]:
-            c = random_field(rng, shape)
-            assert np.array_equal(op.adjoint(c), np.conj(np.conj(c) @ op.matrix))
+    def test_apply_is_the_only_operation(self):
+        # the dense backend keeps W alone, and neither keeps an adjoint
+        dense = simnet.DenseCoupling.build(spaced_geometry(4))
+        assert list(vars(dense)) == ["matrix"]
+        for backend in BACKENDS:
+            public = {name for name in vars(backend) if not name.startswith("_")}
+            assert public == {"build", "apply"}, backend.__name__
 
     def test_backends_agree_through_forward_and_backward(self):
         geom = spaced_geometry(4, num_layers=4)
@@ -350,14 +352,13 @@ class TestCouplingOperator:
         # two (n, 2 rows, n) complex block buffers; the 16 KiB cover the
         # views and other small objects of a call
         buffers = 2 * 40 * 2 * simnet._TRIG_BLOCK_ROWS * 40 * 16
-        for fn in (op.apply, op.adjoint):
-            tracemalloc.start()
-            try:
-                fn(x)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak - x.nbytes <= buffers + 16 * 1024
+        tracemalloc.start()
+        try:
+            op.apply(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - x.nbytes <= buffers + 16 * 1024
 
     def test_trig_backend_holds_only_the_half_toeplitz_stack(self):
         op = simnet.compute_propagation(spaced_geometry(40)).interlayer
@@ -386,12 +387,11 @@ class TestCouplingOperator:
         x = random_field(np.random.default_rng(n), (64, n * n))
         b = simnet._TRIG_BLOCK_ROWS
         tail = 2 * b + 3  # its last block holds 3 rows
-        for fn in (op.apply, op.adjoint):
-            batch = fn(x)
-            partial = fn(x[:tail])
-            for row in (0, b + 5, tail - 1, 63):
-                assert np.array_equal(fn(x[row]), batch[row])
-            assert np.array_equal(partial, batch[:tail])
+        batch = op.apply(x)
+        partial = op.apply(x[:tail])
+        for row in (0, b + 5, tail - 1, 63):
+            assert np.array_equal(op.apply(x[row]), batch[row])
+        assert np.array_equal(partial, batch[:tail])
 
 
 # phase-preserving activations with scalar parameters, so any cell count fits
@@ -740,7 +740,15 @@ class TestBackward:
 def reference_backward(model, trace, output_cotangent):
     """:func:`simnet.backward` evaluating each nonlinear layer's value and
     derivative again from ``trace.pre_activation``, as it did before the
-    forward pass kept them."""
+    forward pass kept them, and carrying the packed cotangent c itself,
+    stepped back through the coupling as c @ conj(W)."""
+    op = model.propagation.interlayer
+    if isinstance(op, simnet.DenseCoupling):
+        def coupling_adjoint(c):
+            return c @ np.conj(op.matrix)
+    else:
+        def coupling_adjoint(c):
+            return np.conj(op.apply(np.conj(c)))
     cot_x = np.asarray(output_cotangent, dtype=complex) @ np.conj(model.propagation.output)
     grads = {}
     for i in range(model.num_layers - 1, -1, -1):
@@ -763,7 +771,7 @@ def reference_backward(model, trace, output_cotangent):
             if layer.trainable:
                 dc_db = np.asarray(act.bias_derivative(rho, biases)) * np.real(u)
                 grads[i + 1] = dc_db.reshape(-1, dc_db.shape[-1]).sum(axis=0)
-        cot_x = cot_z if i == 0 else model.propagation.interlayer.adjoint(cot_z)
+        cot_x = cot_z if i == 0 else coupling_adjoint(cot_z)
     return grads
 
 
@@ -772,8 +780,8 @@ class TestLinearizedBackward:
     layer's direction, slope, secant and bias derivative, from the trace
     and equals the reference that evaluates them again."""
 
-    def _model(self, kind, rng):
-        geom = spaced_geometry(3, num_layers=3)
+    def _model(self, kind, cells, rng):
+        geom = spaced_geometry(cells, num_layers=3)
         m = geom.num_cells
         if kind == "diode-table":  # fabrication-random diode cells, frozen
             tables = [
@@ -791,10 +799,20 @@ class TestLinearizedBackward:
         layers = [simnet.uniform_phase_layer(m, rng), nl, simnet.uniform_phase_layer(m, rng)]
         return simnet.assemble_model(geom, layers)
 
-    @pytest.mark.parametrize("kind", ["diode-table", "fitted-relu", "smooth"])
-    def test_matches_reference_bit_for_bit(self, kind, monkeypatch):
+    # a dense coupling at 3 cells per side and a trig one at 16; the diode
+    # table stays dense, as tabulating 256 cells takes seconds
+    @pytest.mark.parametrize(
+        "kind, cells",
+        [("diode-table", 3), ("fitted-relu", 3), ("smooth", 3),
+         ("fitted-relu", 16), ("smooth", 16)],
+        ids=["diode-table", "fitted-relu", "smooth", "fitted-relu-trig", "smooth-trig"],
+    )
+    def test_matches_reference_bit_for_bit(self, kind, cells, monkeypatch):
         rng = np.random.default_rng(31)
-        model = self._model(kind, rng)
+        model = self._model(kind, cells, rng)
+        assert (cells >= simnet._TRIG_MIN_CELLS_PER_SIDE) == isinstance(
+            model.propagation.interlayer, simnet.TrigCoupling
+        )
         x = random_field(rng, (64, model.geometry.num_cells))
         x[0] = 0.0  # zero amplitudes at the nonlinear layer: secant 0
         trace = simnet.forward(model, x)
