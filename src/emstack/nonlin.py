@@ -7,18 +7,16 @@ complex baseband as a phase-preserving amplitude map
     sigma(x) = C[|x|] * exp(j arg x),
     C[v] = (2 / pi) * integral_0^pi F[v cos(phi)] cos(phi) dphi.
 
-This module provides the bandpass device models, the C[v] integral with
-a catalog of closed forms, the closed-form (Wright omega) response of a
-diode-coupled antenna cell, tabulation of diode-derived activations,
-and the ReLU surrogate fit used by the trainable network.
+This module provides the bandpass device models, the C[v] integral
+(one fixed Gauss-Legendre rule, tabulated or direct) with a catalog of
+closed forms, the closed-form (Wright omega) response of a diode-coupled
+antenna cell, tabulation of diode-derived activations, and the exact
+least-squares ReLU surrogate fit used by the trainable network.
 
 Bias convention: a cell's operating point is shifted by adding a bias
 b <= 0 to the instantaneous input, F_b[s] = F[s + b], which moves the
 activation knee to higher envelopes.  Activation objects take the bias
 as an extra argument so one family serves a whole layer of cells.
-
-No scipy loads with the module, so a training run carries none: the
-integrator and the optimizer load inside the two functions that call them.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ _OMEGA_BLOCK = 4096  # elements per block of _wright_omega: its temporaries stay
 
 
 class QuadratureError(RuntimeError):
-    """Raised when the adaptive integral misses its error target."""
+    """Raised when the envelope integral misses its error target."""
 
     def __init__(self, message, achieved_error):
         super().__init__(f"{message} (achieved error estimate {achieved_error:.3e})")
@@ -70,14 +68,14 @@ class DiodeCircuitParams:
 
 
 class BandpassNL:
-    """Memoryless instantaneous response F[v] of one device."""
+    """Memoryless response F[v] of one device, elementwise on float arrays."""
+
+    # the input where F is non-smooth or bends sharply (none at inf): the
+    # envelope integrand F[v cos(phi)] cos(phi) then kinks at cos(phi) = kink / v
+    kink = math.inf
 
     def __call__(self, v):
         raise NotImplementedError
-
-    def phase_breakpoints(self, amplitude: float):
-        """Angles in (0, pi) where F[v cos(phi)] cos(phi) is non-smooth."""
-        return ()
 
     def closed_form(self) -> "Activation":
         raise ValueError(f"{type(self).__name__} has no closed-form envelope map")
@@ -88,14 +86,10 @@ class ShiftedRelu(BandpassNL):
 
     def __init__(self, a: float):
         self.a = float(a)
+        self.kink = -self.a
 
     def __call__(self, v):
         return np.maximum(v + self.a, 0.0)
-
-    def phase_breakpoints(self, amplitude):
-        if amplitude <= 0 or abs(self.a) >= amplitude:
-            return ()
-        return (math.acos(-self.a / amplitude),)
 
     def closed_form(self):
         return ShiftedReluLowpass(shift=self.a)
@@ -109,11 +103,10 @@ class Relu(ShiftedRelu):
 
 
 class AbsoluteValue(BandpassNL):
+    kink = 0.0
+
     def __call__(self, v):
         return np.abs(v)
-
-    def phase_breakpoints(self, amplitude):
-        return (np.pi / 2.0,) if amplitude > 0 else ()
 
     def closed_form(self):
         # even response: no fundamental-harmonic output
@@ -121,11 +114,10 @@ class AbsoluteValue(BandpassNL):
 
 
 class Sign(BandpassNL):
+    kink = 0.0
+
     def __call__(self, v):
         return np.sign(v)
-
-    def phase_breakpoints(self, amplitude):
-        return (np.pi / 2.0,) if amplitude > 0 else ()
 
     def closed_form(self):
         return ConstantAmplitude(level=4.0 / np.pi)
@@ -167,6 +159,10 @@ class DiodeCircuit(BandpassNL):
 
     def __init__(self, params: DiodeCircuitParams):
         self.params = params
+        # the cell turns on where the Wright omega's argument crosses 0
+        ri = params.antenna_resistance_ohm * params.saturation_current_a
+        alpha2 = 2.0 * params.alpha_per_volt
+        self.kink = -params.bias_volts - ri - math.log(alpha2 * ri) / alpha2
 
     def __call__(self, v):
         return diode_bandpass_response(self.params, v)
@@ -501,39 +497,56 @@ class TabulatedActivationSet(Activation):
 # ---------------------------------------------------------------------------
 
 
+_QUADRATURE_NODES = 129  # Gauss-Legendre nodes of every envelope integral
+
+
+@functools.cache
+def _gauss_legendre_nodes(n: int):
+    """Angles and weights of the n-node rule on [0, pi], computed once per
+    process and read-only."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    rule = (x + 1.0) * (np.pi / 2.0), w * (np.pi / 2.0)
+    for a in rule:
+        a.setflags(write=False)
+    return rule
+
+
+def _envelope_integrals(nl, amplitudes, edges=(0.0, np.pi), n=_QUADRATURE_NODES):
+    """(2/pi) * int_0^pi F[v cos(phi)] cos(phi) dphi per amplitude v: the n-node rule
+    mapped onto each piece between the edges (exact on one), F's array scaled in place."""
+    phi, w = _gauss_legendre_nodes(n)
+    lo = np.asarray(edges[:-1])[:, None]
+    scale = np.diff(edges)[:, None] / np.pi
+    cos = np.cos((lo + scale * phi).ravel())
+    f = nl(amplitudes[:, None] * cos)
+    f *= cos
+    f *= 2.0 / np.pi
+    return f @ (scale * w).ravel()
+
+
 def lowpass_from_bandpass(nl: BandpassNL, amplitude: float) -> float:
     """Evaluate C[v] = (2/pi) * int_0^pi F[v cos(phi)] cos(phi) dphi.
 
-    Adaptive quadrature to absolute tolerance 1e-9, with the device's
-    known kink angles passed as subdivision points.
+    The device's kink angle splits [0, pi] into smooth pieces for the diode
+    table's Gauss-Legendre rule; the gap to twice the nodes is the error estimate.
 
     Raises
     ------
     QuadratureError
-        If the integrator's error estimate exceeds the tolerance.
+        If the error estimate exceeds 50 times the tolerance 1e-9.
     """
     v = float(amplitude)
     if not math.isfinite(v):
         raise ValueError("amplitude must be finite")
-
-    def integrand(phi):
-        return float(nl(v * math.cos(phi))) * math.cos(phi)
-
-    # imported here, not with the module: 26 MB and 0.3 s that `run` never needs
-    from scipy.integrate import quad
-    points = [p for p in nl.phase_breakpoints(abs(v)) if 0.0 < p < np.pi]
-    val, err = quad(
-        integrand,
-        0.0,
-        np.pi,
-        points=points or None,
-        epsabs=QUADRATURE_ABS_TOL,
-        epsrel=0.0,
-        limit=200,
-    )
-    if err > 50 * QUADRATURE_ABS_TOL:
-        raise QuadratureError("envelope integral did not converge", err)
-    return 2.0 / np.pi * val
+    if v < 0.0:  # C[-v] = -C[v] (phi -> pi - phi), and |v| sets the kink angle
+        return -lowpass_from_bandpass(nl, -v)
+    angle = [math.acos(nl.kink / v)] if abs(nl.kink) < v else []
+    edges = np.array([0.0, *angle, np.pi])
+    val, fine = (float(_envelope_integrals(nl, np.array([v]), edges, n)[0])
+                 for n in (_QUADRATURE_NODES, 2 * _QUADRATURE_NODES))
+    if abs(fine - val) > 50 * QUADRATURE_ABS_TOL:
+        raise QuadratureError("envelope integral did not converge", abs(fine - val))
+    return val
 
 
 def closed_form_lowpass(nl: BandpassNL) -> Activation:
@@ -547,7 +560,6 @@ def closed_form_lowpass(nl: BandpassNL) -> Activation:
 
 
 _LOG_FLOOR = 1e-8  # volts; where the tabulation grid turns logarithmic
-_QUADRATURE_NODES = 129  # Gauss-Legendre nodes of the tabulated envelope integral
 
 
 def tabulation_grid(v_max: float, n_points: int) -> np.ndarray:
@@ -560,17 +572,6 @@ def tabulation_grid(v_max: float, n_points: int) -> np.ndarray:
     lin = np.linspace(0.0, _LOG_FLOOR, n_lin, endpoint=False)
     log = np.geomspace(_LOG_FLOOR, v_max, n_points - n_lin)
     return np.concatenate([lin, log])
-
-
-@functools.cache
-def _gauss_legendre_nodes(n: int):
-    """Angles and weights of the n-node rule on [0, pi], computed once per
-    process and read-only."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    rule = (x + 1.0) * (np.pi / 2.0), w * (np.pi / 2.0)
-    for a in rule:
-        a.setflags(write=False)
-    return rule
 
 
 def diode_activation(
@@ -589,14 +590,7 @@ def diode_activation(
     if n_points < 512 or v_max <= 0:
         raise ValueError("need v_max > 0 and at least 512 grid points")
     grid = tabulation_grid(v_max, n_points)
-    phi, w = _gauss_legendre_nodes(_QUADRATURE_NODES)
-    cos = np.cos(phi)
-    # response at each grid amplitude x quadrature node, scaled in place:
-    # the operations and order of (2/pi) * (f * cos) @ w
-    f = diode_bandpass_response(params, grid[:, None] * cos)
-    f *= cos
-    f *= 2.0 / np.pi
-    c = f @ w
+    c = _envelope_integrals(DiodeCircuit(params), grid)
     # at v = 0 the integrand is a constant times cos(phi): exactly zero,
     # not the ~1e-21 quadrature roundoff
     c[grid == 0.0] = 0.0
@@ -618,18 +612,17 @@ class ReluFit:
 def fit_relu_approximation(activation: Activation, amplitude_range) -> ReluFit:
     """Fit g * max(v - a, 0) to an activation over an amplitude range.
 
-    The knee is found by a bounded 1-D search (the gain is a closed-form
-    least-squares solution for each candidate knee).  Rejects degenerate
-    inputs: an empty or zero-width range, or an identically zero curve.
+    Exact least squares over the curve's grid points: for each knee the
+    gain is closed-form, and so is the best knee between two adjacent
+    points.  Rejects degenerate inputs: an empty or zero-width range, or
+    an identically zero curve.
     """
     lo, hi = float(amplitude_range[0]), float(amplitude_range[1])
     if not hi > lo:
         raise ValueError("amplitude range must have positive width")
-    if isinstance(activation, TabulatedActivationSet):
-        grid = activation.grid[(activation.grid >= lo) & (activation.grid <= hi)]
-        if grid.size < 8:
-            grid = np.linspace(lo, hi, 256)
-    else:
+    grid = activation.grid if isinstance(activation, TabulatedActivationSet) else np.empty(0)
+    grid = grid[(grid >= lo) & (grid <= hi)]
+    if grid.size < 8:  # no table, or too few of its knots in range
         grid = np.linspace(lo, hi, 256)
     c = np.asarray(activation.value(grid), dtype=float)
     scale = float(np.max(np.abs(c)))
@@ -644,19 +637,18 @@ def fit_relu_approximation(activation: Activation, amplitude_range) -> ReluFit:
         g = float(m @ c) / denom
         return g, float(np.sqrt(np.mean((c - g * m) ** 2)))
 
-    candidates = np.linspace(lo, hi, 200, endpoint=False)
-    rms = np.array([fit_at(a)[1] for a in candidates])
-    best = candidates[int(np.argmin(rms))]
-    span = (hi - lo) / 199.0
-    # imported here, not with the module: 26 MB and 0.3 s that `run` never needs
-    from scipy.optimize import minimize_scalar
-    res = minimize_scalar(
-        lambda a: fit_at(a)[1],
-        bounds=(max(lo, best - 2 * span), min(hi, best + 2 * span)),
-        method="bounded",
-        options={"xatol": 1e-10},
-    )
-    knee = float(res.x) if res.fun <= rms.min() else float(best)
+    # a knee a in [grid[k-1], grid[k]] (lo for k = 0) leaves points k.. active, and with
+    # S_j = sum v^j, T_j = sum v^j c over them the residual sum of squares is sum c^2 -
+    # (T1 - a T0)^2 / (S2 - 2 a S1 + a^2 S0): score both ends and its stationary point
+    terms = np.stack([np.ones_like(grid), grid, grid ** 2, c, grid * c])
+    s0, s1, s2, t0, t1 = np.cumsum(terms[:, ::-1], axis=1)[:, ::-1]
+    lower = np.append(lo, grid[:-1])
+    den = t0 * s1 - t1 * s0
+    star = np.divide(t0 * s2 - t1 * s1, den, out=lower.copy(), where=den != 0.0)
+    knees = np.stack([lower, np.clip(star, lower, grid), grid])
+    d = s2 - 2.0 * knees * s1 + knees ** 2 * s0
+    explained = np.divide((t1 - knees * t0) ** 2, d, out=np.zeros_like(d), where=d > 0.0)
+    knee = float(knees.flat[np.argmax(explained)])
     gain, err = fit_at(knee)
     return ReluFit(gain=gain, knee=knee, residual_rms=err)
 

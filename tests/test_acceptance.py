@@ -1,11 +1,12 @@
-"""Acceptance battery: eight criteria, one PASS/FAIL line each.
+"""Acceptance battery: nine criteria, one PASS/FAIL line each.
 
 Covers the envelope-map theory oracles, the diode solver, gradient
-correctness, physics invariants, the matched-filter baseline, and the
+correctness, physics invariants, the matched-filter baseline, the
 desk-scale training trends (nonlinear layer placement, depth scaling,
-trainable versus fabrication-random operating points).  The final
-full-scale criterion trains for about 15-18 min on 2 cores with one BLAS
-thread and only runs with EMSTACK_RUN_SLOW=1.
+trainable versus fabrication-random operating points) and the full-scale
+ordering at 16 x 16 cells.  The full-scale criterion 8 trains for about
+15-18 min on 2 cores with one BLAS thread and only runs with
+EMSTACK_RUN_SLOW=1.
 """
 
 import os
@@ -378,4 +379,38 @@ def test_criterion_8_full_scale(tmp_path, report):
         "full-scale ordering matched filter < nonlinear < linear",
         ok,
         f"ml {ml:.4f}, nonlinear {nl:.4f}, linear {lin:.4f}",
+    )
+
+
+# criterion 8's study at 16 x 16 cells, which trains through the trig coupling
+PAPER_PATH_16 = """
+[scenario]
+cells_per_side = 16
+
+[training]
+num_samples = 2000
+epochs = 20
+seeds = 101
+
+[experiment]
+sweep = depth-L
+depth_values = 6
+"""
+
+
+def test_criterion_9_paper_path_ordering(tmp_path, report):
+    """Criterion 8's ordering on the paper's training path at 16 x 16
+    cells (about 13 s): matched filter < trainable < linear, and the
+    fabrication-random operating points within 15% of the trainable ones."""
+    out = cli.run_experiment(cli.load_config(PAPER_PATH_16), tmp_path)
+    means = mean_rows(out / "results.csv")
+    ml, nl = means[("6", "ml")], means[("6", "trainable")]
+    static, lin = means[("6", "static-random")], means[("6", "linear")]
+    gap = abs(static - nl) / nl
+    ok = ml < nl < lin and gap <= 0.15
+    report(
+        9,
+        "16-cell ordering matched filter < nonlinear < linear, static-random parity",
+        ok,
+        f"ml {ml:.4f}, nonlinear {nl:.4f}, static {static:.4f} ({gap:.1%}), linear {lin:.4f}",
     )

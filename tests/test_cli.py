@@ -225,9 +225,9 @@ class TestRunVerb:
         assert (out / "config.ini").read_text() == cfg.text
 
     def test_run_loads_no_scipy(self, tmp_path):
-        # the diode response is numpy only, and the integrator and the optimizer are
-        # imported by the one function that calls each, so a fresh `run` process,
-        # with or without diode-table cells, loads no scipy module at all
+        # the diode response, the envelope integral and the ReLU fit are numpy
+        # only, so a fresh `run` process, with or without diode-table cells,
+        # loads no scipy module at all
         tiny = TINY.replace("epochs = 0", "epochs = 1")
         configs = {
             "relu-fit": tiny.replace("nl_mode = linear", "nl_mode = trainable\nactivation = relu-fit"),
@@ -245,7 +245,7 @@ class TestRunVerb:
             "quad = nonlin.lowpass_from_bandpass(nonlin.ShiftedRelu(-0.5), 1.0)\n"
             "print(json.dumps([code, loaded, quad, fit.gain, fit.knee, fit.residual_rms]))\n"
         )
-        # the same results as in this process, where scipy is loaded
+        # the same results as in this process
         want = nonlin.fit_relu_approximation(nonlin.FittedRelu(0.7, 0.33), (0.0, 1.0))
         want_quad = nonlin.lowpass_from_bandpass(nonlin.ShiftedRelu(-0.5), 1.0)
         for name, text in configs.items():
@@ -263,6 +263,30 @@ class TestRunVerb:
             assert (name, code, loaded) == (name, 0, [])
             assert fit == [want.gain, want.knee, want.residual_rms]
             assert quad == want_quad
+
+    def test_every_verb_runs_without_scipy(self, tmp_path):
+        # scipy is a test reference only: with every scipy import failing,
+        # `check`, `curves`, a tiny `run` and `ml-baseline` each exit 0
+        cfg_path = tmp_path / "tiny.ini"
+        cfg_path.write_text(TINY.replace("epochs = 0", "epochs = 1"))
+        script = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from emstack import cli\n"
+            "cfg, out = sys.argv[1:]\n"
+            "verbs = (['check'], ['curves', '--out', out], ['run', '--config', cfg, '--out', out],\n"
+            "         ['ml-baseline', '--config', cfg, '--out', out])\n"
+            "print([cli.main(args) for args in verbs])\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-c", script, str(cfg_path),
+             str(tmp_path / "out")],
+            env=_fresh_interpreter_env(),
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0]", proc.stdout
 
     def test_history_file_matches_train_result(self, tmp_path, monkeypatch):
         results, real_train = [], trainer.train

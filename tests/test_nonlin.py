@@ -1,6 +1,7 @@
 """Bandpass devices, the envelope integral, diode response, activations."""
 
 import hashlib
+import math
 import tracemalloc
 import warnings
 
@@ -78,15 +79,62 @@ class TestLowpassIntegral:
 
     def test_nonconvergent_integrand_reported(self):
         class Thrash(nonlin.BandpassNL):
-            # deterministic pseudo-noise defeats adaptive refinement
+            # deterministic pseudo-noise, elementwise: no rule converges on it
             def __call__(self, v):
-                return hash(round(float(v), 12)) % 1000 / 1000.0
+                return np.vectorize(lambda s: hash(round(float(s), 12)) % 1000 / 1000.0)(v)
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             with pytest.raises(nonlin.QuadratureError) as err:
                 nonlin.lowpass_from_bandpass(Thrash(), 3.0)
         assert err.value.achieved_error > 0
+
+    @pytest.mark.parametrize(
+        "nl",
+        [
+            nonlin.ShiftedRelu(-0.5),
+            nonlin.ShiftedRelu(0.3),
+            nonlin.Relu(),
+            nonlin.Sign(),
+            nonlin.DiodeCircuit(nonlin.DiodeCircuitParams(alpha_per_volt=56.0)),
+        ],
+        ids=["shift-", "shift+", "relu", "sign", "diode"],
+    )
+    def test_odd_in_the_amplitude(self, nl):
+        # C[-v] = -C[v]; a negative amplitude moves the kink of F[v cos(phi)]
+        # to pi minus the kink angle of |v|
+        for v in (0.05, 0.3, 0.5, 1.0, 2.7):
+            got = nonlin.lowpass_from_bandpass(nl, -v)
+            assert abs(got + nonlin.lowpass_from_bandpass(nl, v)) <= 1e-12
+
+    def test_negative_amplitude_value(self):
+        got = nonlin.lowpass_from_bandpass(nonlin.ShiftedRelu(-0.5), -1.0)
+        np.testing.assert_allclose(got, -0.1955011094778853, rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "nl",
+        [
+            nonlin.DiodeCircuit(nonlin.DiodeCircuitParams(alpha_per_volt=18.0)),
+            nonlin.DiodeCircuit(nonlin.DiodeCircuitParams(alpha_per_volt=56.0, bias_volts=-0.4)),
+            nonlin.DiodeCircuit(nonlin.DiodeCircuitParams(alpha_per_volt=120.0, bias_volts=-0.37)),
+            nonlin.ShiftedRelu(-0.5),
+            nonlin.ShiftedRelu(0.3),
+        ],
+        ids=["diode-18", "diode-56-biased", "diode-120-biased", "shift-", "shift+"],
+    )
+    def test_matches_adaptive_quadrature(self, nl):
+        # the reference only: emstack itself loads no scipy
+        from scipy.integrate import quad
+
+        rng = np.random.default_rng(41)
+        for v in [*rng.uniform(0.0, 3.0, 20), 10.0]:
+            points = [math.acos(nl.kink / v)] if abs(nl.kink) < v else None
+            want, _ = quad(
+                lambda phi: float(nl(np.array(v * math.cos(phi)))) * math.cos(phi),
+                0.0, np.pi, points=points, epsabs=1e-12, epsrel=0.0, limit=400,
+            )
+            got = nonlin.lowpass_from_bandpass(nl, v)
+            assert abs(got - 2.0 / np.pi * want) < 1e-10, v
 
 
 class TestClosedForms:
@@ -645,6 +693,26 @@ class TestReluFit:
         fit = nonlin.fit_relu_approximation(act, (0.0, 1.0))
         assert fit.knee > 0
         assert fit.residual_rms < 0.05 * act.values.max()
+
+    @pytest.mark.parametrize(
+        "alpha, shift",
+        [(115.29392891020585, 0.3694044110916809), (18.0, 0.4), (33.0, 0.4), (56.0, 0.4)],
+        ids=["alpha-115", "alpha-18", "alpha-33", "alpha-56"],
+    )
+    def test_fit_is_the_best_of_a_dense_knee_scan(self, alpha, shift):
+        params = nonlin.DiodeCircuitParams(alpha_per_volt=alpha, bias_volts=-shift)
+        table = nonlin.diode_activation(params, v_max=1.0)
+        fit = nonlin.fit_relu_approximation(table, (0.0, 1.0))
+        # the least-squares gain at each of 20001 knees across the range
+        grid, c = table.grid, table.values[0]
+        best = np.inf
+        for knees in np.array_split(np.linspace(0.0, 1.0, 20001), 40):
+            m = np.maximum(grid - knees[:, None], 0.0)
+            denom = np.sum(m * m, axis=1)
+            g = np.divide(m @ c, denom, out=np.zeros_like(denom), where=denom > 0.0)
+            rms = np.sqrt(np.mean((c - g[:, None] * m) ** 2, axis=1))
+            best = min(best, float(rms.min()))
+        assert fit.residual_rms <= best * (1.0 + 1e-12)
 
     def test_zero_width_range_rejected(self):
         with pytest.raises(ValueError):

@@ -423,6 +423,29 @@ class TestTrainLoop:
         assert len(result.history) == 2
         assert np.all(model.layers[1].biases <= 0.0)
 
+    @pytest.mark.parametrize("patience, epochs_run", [(3, 3), (0, 10)])
+    def test_early_stopping(self, patience, epochs_run):
+        # with both learning rates 0 the validation RMSE never improves on the
+        # initial model's, so `patience` epochs without a gain end training
+        geom = make_geometry(cells_per_side=3, num_layers=2)
+        rng = np.random.default_rng(29)
+        from emstack import nonlin
+
+        layers = [
+            simnet.uniform_phase_layer(geom.num_cells, rng),
+            simnet.NonlinearLayer(
+                nonlin.FittedRelu(gain=0.5), trainer_bias_init(geom.num_cells, rng), trainable=True
+            ),
+        ]
+        model = simnet.assemble_model(geom, layers)
+        ds = trainer.generate_dataset(geom, noiseless_scenario(), 60, rng)
+        cfg = trainer.TrainConfig(
+            learning_rate=0.0, bias_learning_rate=0.0, epochs=10, patience=patience, batch_size=16
+        )
+        result = trainer.train(model, ds, cfg)
+        assert [rec.epoch for rec in result.history] == list(range(1, epochs_run + 1))
+        assert result.best_epoch == 0
+
     def test_each_trace_is_released_before_the_next_forward(self, monkeypatch):
         _, model, ds = self._setup(count=100)
         real, traces = simnet.forward, []
