@@ -341,18 +341,8 @@ def _make_activation(cfg: ExperimentConfig, num_cells: int, rng: np.random.Gener
     alphas = nonlin.sample_static_alphas(
         num_cells, (mo["alpha_min"], mo["alpha_max"]), rng
     )
-    # only each cell's curve: its one-row table and knot locator would add
-    # about 0.1 MB per cell to the peak while the other cells tabulate
-    values = [
-        nonlin.diode_activation(
-            nonlin.DiodeCircuitParams(alpha_per_volt=a),
-            v_max=1.0,
-            n_points=mo["table_points"],
-        ).values
-        for a in alphas
-    ]
-    grid = nonlin.tabulation_grid(1.0, mo["table_points"])  # diode_activation's grid
-    return nonlin.TabulatedActivationSet(grid, np.concatenate(values))
+    cells = (nonlin.DiodeCircuitParams(alpha_per_volt=a) for a in alphas)
+    return nonlin.diode_activation(*cells, v_max=1.0, n_points=mo["table_points"])
 
 
 # One model a run trains: ``value`` fills results.csv's ``point`` column, ``nl_position``
@@ -561,9 +551,10 @@ def _output_dir(cfg: ExperimentConfig, out_root) -> Path:
 
 def _run_job(cfg, point, seed, geometry, propagation, dataset, out_dir) -> trainer.EvalResult:
     """Train and test ``point`` at ``seed``; its history, then its
-    checkpoint, which marks the job done.  A saved checkpoint that loads is
-    tested again and kept if its RMSE is the stored one bit for bit; any
-    other came from other code, so the job retrains.  Returns the test result."""
+    checkpoint, which marks the job done.  A saved checkpoint that loads as a
+    model of the job's geometry is tested again and kept if its RMSE is the
+    stored one bit for bit; any other came from other code or another config,
+    so the job retrains.  Returns the test result."""
     name = f"{point.value}-{point.variant}-{seed}"
     ckpt = out_dir / "models" / f"{name}.json"
     if ckpt.exists():
@@ -571,10 +562,11 @@ def _run_job(cfg, point, seed, geometry, propagation, dataset, out_dir) -> train
             model, extra = simnet.load_checkpoint(ckpt, propagation)
         except (KeyError, TypeError, ValueError):  # another format or geometry, or not JSON
             pass
-        else:
-            test = trainer.evaluate(model, dataset, dataset.split.test)
-            if test.rmse == extra.get("test_rmse_m"):
-                return test
+        else:  # a whole model of other cells or depth loads, but is not this job's
+            if model.geometry.parameters() == geometry.parameters():
+                test = trainer.evaluate(model, dataset, dataset.split.test)
+                if test.rmse == extra.get("test_rmse_m"):
+                    return test
     model = build_model(cfg, geometry, propagation, dataset, seed, point)
     try:
         trainer.calibrate_readout_scale(model, dataset)
@@ -839,19 +831,22 @@ def main(argv=None) -> int:
         description="Stacked-surface localization experiments",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-    for verb in ("run", "curves", "check", "ml-baseline"):
+    sub.add_parser("check").add_argument("--seed", type=int, default=0, help="self-check seed")
+    for verb in ("run", "curves", "ml-baseline"):
         p = sub.add_parser(verb)
         p.add_argument("--config", help="path to a key = value config file")
         p.add_argument("--preset", help="name of a shipped preset config")
         p.add_argument("--seed", type=int, help="dataset seed override")
         p.add_argument("--out", default="results", help="output root directory")
-
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # a usage error is a config error; --help exits 0
+        return 1 if exc.code else 0
     try:
         if args.seed is not None and args.seed < 0:
             raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
         if args.verb == "check":
-            return 0 if self_check(args.seed if args.seed is not None else 0) else 2
+            return 0 if self_check(args.seed) else 2
         cfg = _load_from_args(args)
         # an overflow, invalid operation or division by zero in the numeric
         # work is a numerical failure, not a warning behind an exit code of 0

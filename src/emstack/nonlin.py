@@ -575,10 +575,10 @@ def tabulation_grid(v_max: float, n_points: int) -> np.ndarray:
 
 
 def diode_activation(
-    params: DiodeCircuitParams, v_max: float = 1.0, n_points: int = 2048
+    *cells: DiodeCircuitParams, v_max: float = 1.0, n_points: int = 2048
 ) -> TabulatedActivationSet:
-    """Tabulate the diode cell's envelope map C[v] on [0, v_max] as a
-    one-row table.
+    """Tabulate each diode cell's envelope map C[v] on [0, v_max]: one
+    row per cell, on one grid.
 
     Each grid amplitude is pushed through the closed-form cell
     response and the envelope integral; the integral uses fixed
@@ -587,14 +587,16 @@ def diode_activation(
     default holds interpolation error near 1e-5 relative around the
     knee, where the curve bends fastest.
     """
+    if not cells:
+        raise ValueError("need at least one cell")
     if n_points < 512 or v_max <= 0:
         raise ValueError("need v_max > 0 and at least 512 grid points")
     grid = tabulation_grid(v_max, n_points)
-    c = _envelope_integrals(DiodeCircuit(params), grid)
+    c = np.stack([_envelope_integrals(DiodeCircuit(params), grid) for params in cells])
     # at v = 0 the integrand is a constant times cos(phi): exactly zero,
     # not the ~1e-21 quadrature roundoff
-    c[grid == 0.0] = 0.0
-    return TabulatedActivationSet(grid, c[None, :])
+    c[:, grid == 0.0] = 0.0
+    return TabulatedActivationSet(grid, c)
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,7 @@ class LinearLayer:
     trainable: bool = True
 
     def __post_init__(self):
-        self.phases = np.asarray(self.phases, dtype=float)
+        self.phases = np.array(self.phases, dtype=float)
         if self.phases.ndim != 1:
             raise ValueError("phases must be a 1-D vector")
 
@@ -84,7 +84,7 @@ class NonlinearLayer:
     trainable: bool = False
 
     def __post_init__(self):
-        self.biases = np.asarray(self.biases, dtype=float)
+        self.biases = np.array(self.biases, dtype=float)
         if self.biases.ndim != 1:
             raise ValueError("biases must be a 1-D vector")
         if np.any(self.biases > 0):
@@ -284,12 +284,9 @@ class SimModel:
         )
 
     def clone(self) -> "SimModel":
-        """Copies of the layers' arrays; activations are shared."""
-        copies = []
-        for layer in self.layers:
-            arrays = {k: v.copy() for k, v in vars(layer).items() if isinstance(v, np.ndarray)}
-            copies.append(replace(layer, **arrays))
-        return SimModel(self.geometry, copies, self.propagation, self.readout_scale)
+        """Copies of the layers, each with its own array; activations are shared."""
+        return SimModel(self.geometry, [replace(layer) for layer in self.layers],
+                        self.propagation, self.readout_scale)
 
 
 def assemble_model(

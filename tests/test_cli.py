@@ -521,17 +521,34 @@ class TestResume:
         assert train.seeds == [8]
         assert tree_bytes(out) == reference
 
+    @staticmethod
+    def three_by_three(text):
+        """The checkpoint as a whole model of 3x3 cells: each layer keeps its first 9."""
+        payload = json.loads(text)
+        payload["geometry"]["cells_per_side"] = 3
+        for layer in payload["layers"]:
+            for name in ("phases", "biases"):
+                if name in layer:
+                    layer[name] = layer[name][:9]
+        return json.dumps(payload)
+
     @pytest.mark.parametrize(
         "damage",
         [
-            lambda text: text.replace("emstack-checkpoint-1", "emstack-checkpoint-0"),
-            lambda text: text[: len(text) // 2],  # not JSON
-            lambda text: "[]",  # JSON, but not an object
-            lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "layers"}),
-            lambda text: json.dumps({**json.loads(text), "layers": 5}),
-            lambda text: text.replace('"cells_per_side": 4', '"cells_per_side": 5'),
+            lambda text, models: text.replace("emstack-checkpoint-1", "emstack-checkpoint-0"),
+            lambda text, models: text[: len(text) // 2],  # not JSON
+            lambda text, models: "[]",  # JSON, but not an object
+            lambda text, models: json.dumps(
+                {k: v for k, v in json.loads(text).items() if k != "layers"}
+            ),
+            lambda text, models: json.dumps({**json.loads(text), "layers": 5}),
+            lambda text, models: text.replace('"cells_per_side": 4', '"cells_per_side": 5'),
+            # whole models of another geometry, each of which loads on its own
+            lambda text, models: (models / "1-trainable-7.json").read_text(),
+            lambda text, models: TestResume.three_by_three(text),
         ],
-        ids=["format", "truncated", "list", "no-layers", "layers-not-a-list", "geometry"],
+        ids=["format", "truncated", "list", "no-layers", "layers-not-a-list", "geometry",
+             "depth", "cell-count"],
     )
     def test_checkpoint_that_does_not_load_is_retrained(self, tmp_path, monkeypatch, damage):
         cfg = cli.load_config(self.CFG)
@@ -539,7 +556,7 @@ class TestResume:
         out = cli.run_experiment(cfg, tmp_path / "b")
         ckpt = out / "models" / "2-trainable-7.json"
         text = ckpt.read_text()
-        ckpt.write_text(damage(text))
+        ckpt.write_text(damage(text, out / "models"))
         assert ckpt.read_text() != text
         train = CountingTrain()
         monkeypatch.setattr(trainer, "train", train)
@@ -647,6 +664,20 @@ class TestExitCodes:
 
     def test_unknown_preset(self):
         assert cli.main(["run", "--preset", "galactic"]) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["run", "--bogus"], [], ["run", "--seed", "x"], ["check", "--config", "/nonexistent"]],
+        ids=["unknown-option", "no-verb", "non-integer-seed", "check-config"],
+    )
+    def test_usage_error_exits_1(self, argv, capsys):
+        # argparse's own usage errors exit 2, the numerical-failure code
+        assert cli.main(argv) == 1
+        assert "usage:" in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        assert cli.main(["run", "--help"]) == 0
+        assert "--preset" in capsys.readouterr().out
 
     def test_bad_number_exits_1_without_traceback(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.ini"

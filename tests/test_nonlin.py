@@ -452,6 +452,19 @@ class TestDiodeActivation:
         with pytest.raises(ValueError):
             nonlin.diode_activation(p, v_max=1.0, n_points=64)
 
+    def test_one_row_per_cell(self):
+        cells = [nonlin.DiodeCircuitParams(alpha_per_volt=a) for a in (18.0, 33.0, 56.0)]
+        table = nonlin.diode_activation(*cells, n_points=512)
+        assert table.values.shape == (3, 512)
+        for k, params in enumerate(cells):
+            row = nonlin.diode_activation(params, n_points=512)
+            np.testing.assert_array_equal(table.grid, row.grid)
+            assert table.values[k].tobytes() == row.values[0].tobytes()
+
+    def test_no_cells_rejected(self):
+        with pytest.raises(ValueError):
+            nonlin.diode_activation(n_points=512)
+
 
 class TestTabulatedActivation:
     """A one-row TabulatedActivationSet: one curve for any amplitude shape."""

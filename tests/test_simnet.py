@@ -586,6 +586,14 @@ class TestAssembly:
         assert twin.layers[1].biases[0] != model.layers[1].biases[0]
         assert twin.propagation is model.propagation
 
+    def test_layer_copies_its_array(self):
+        phases, biases = np.zeros(4), np.full(4, -0.1)
+        layers = [simnet.LinearLayer(phases), simnet.NonlinearLayer(relu_half(), biases)]
+        phases += 1.0
+        biases -= 1.0
+        np.testing.assert_array_equal(layers[0].phases, np.zeros(4))
+        np.testing.assert_array_equal(layers[1].biases, np.full(4, -0.1))
+
 
 class TestReadout:
     def test_endpoints(self):
@@ -784,12 +792,9 @@ class TestLinearizedBackward:
         geom = spaced_geometry(cells, num_layers=3)
         m = geom.num_cells
         if kind == "diode-table":  # fabrication-random diode cells, frozen
-            tables = [
-                nonlin.diode_activation(nonlin.DiodeCircuitParams(alpha_per_volt=a), n_points=512)
-                for a in rng.uniform(20.0, 40.0, m)
-            ]
-            values = np.concatenate([t.values for t in tables])
-            nl = simnet.NonlinearLayer(nonlin.TabulatedActivationSet(tables[0].grid, values), np.zeros(m))
+            alphas = rng.uniform(20.0, 40.0, m)
+            diodes = (nonlin.DiodeCircuitParams(alpha_per_volt=a) for a in alphas)
+            nl = simnet.NonlinearLayer(nonlin.diode_activation(*diodes, n_points=512), np.zeros(m))
         elif kind == "smooth":  # a bias derivative of its own
             act = nonlin.ShiftedReluLowpass(shift=rng.uniform(-0.2, 0.2, m), gain=0.7)
             nl = simnet.NonlinearLayer(act, -rng.uniform(0.0, 0.3, m), trainable=True)
