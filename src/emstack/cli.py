@@ -13,15 +13,15 @@ Verbs:
 ``check``
     Fast self-test of the physics invariants and gradients.
 ``ml-baseline``
-    Standalone matched-filter grid-search evaluation.
+    The matched-filter job of ``run`` on its own, writing the same files.
 
 Outputs are CSV (authoritative) plus small SVG plots, written under a
 directory named by a hash of the effective config so distinct
 configurations never collide.  Every file is written whole by
-:func:`simnet.atomic_write`.  ``run`` trains one job per (point, seed)
-and writes ``results.csv`` once every job is done; a job's checkpoint
-marks it done, so a rerun resumes.  Exit codes: 0 success, 1 config
-error, 2 numerical failure.
+:func:`simnet.atomic_write`.  A job (the matched filter, or one training
+per (point, seed)) is done once its last file is written, so a rerun
+resumes; ``run`` writes ``results.csv`` once every job is done.  Exit
+codes: 0 success, 1 config error, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -416,8 +416,18 @@ def build_model(
     return model
 
 
-def _matched_filter(cfg: ExperimentConfig, geometry, dataset) -> trainer.EvalResult:
-    """Two-stage matched-filter grid search over the test split."""
+def _matched_filter(cfg: ExperimentConfig, geometry, dataset, out_dir: Path) -> float:
+    """The matched-filter job, a two-stage grid search over the test split:
+    its records, then the summary that marks it done.  A stored result is kept,
+    as a checkpoint is, if its estimates rescore to its RMSE bit for bit."""
+    records, summary = out_dir / "ml_records.csv", out_dir / "ml_summary.csv"
+    try:
+        stored = _finite_float(summary.read_text(encoding="utf-8").splitlines()[2].split(",")[1])
+        estimates = np.loadtxt(records, delimiter=",", skiprows=2, usecols=(2, 3), ndmin=2).T
+        if trainer.score_estimates(dataset, dataset.split.test, *estimates).rmse == stored:
+            return stored
+    except (FloatingPointError, IndexError, OSError, ValueError):  # missing or not this job's
+        pass
     ex, sc = cfg["experiment"], dataset.scenario
     estimator = lambda field: baselines.ml_estimate_two_stage(
         field, geometry, (sc.r_min_m, sc.r_max_m), sc.theta_max_rad,
@@ -428,7 +438,9 @@ def _matched_filter(cfg: ExperimentConfig, geometry, dataset) -> trainer.EvalRes
     baselines._coarse_steering.cache_clear()
     if not np.isfinite(result.rmse):
         raise NumericalFailure("non-finite matched-filter RMSE")
-    return result
+    write_records_csv(records, cfg, result.records)
+    _write_csv(summary, cfg, ["estimator", "test_rmse_m"], [["two-stage", result.rmse]])
+    return result.rmse
 
 
 # ---------------------------------------------------------------------------
@@ -550,23 +562,22 @@ def _output_dir(cfg: ExperimentConfig, out_root) -> Path:
 
 
 def _run_job(cfg, point, seed, geometry, propagation, dataset, out_dir) -> trainer.EvalResult:
-    """Train and test ``point`` at ``seed``; its history, then its
-    checkpoint, which marks the job done.  A saved checkpoint that loads as a
-    model of the job's geometry is tested again and kept if its RMSE is the
-    stored one bit for bit; any other came from other code or another config,
+    """Train and test ``point`` at ``seed``: its history, then its
+    checkpoint, the last file, which marks the job done.  A saved checkpoint
+    that loads as a model of the job's geometry and tests to its stored RMSE
+    bit for bit is kept; any other came from other code or another config,
     so the job retrains.  Returns the test result."""
     name = f"{point.value}-{point.variant}-{seed}"
     ckpt = out_dir / "models" / f"{name}.json"
-    if ckpt.exists():
-        try:
-            model, extra = simnet.load_checkpoint(ckpt, propagation)
-        except (KeyError, TypeError, ValueError):  # another format or geometry, or not JSON
-            pass
-        else:  # a whole model of other cells or depth loads, but is not this job's
-            if model.geometry.parameters() == geometry.parameters():
-                test = trainer.evaluate(model, dataset, dataset.split.test)
-                if test.rmse == extra.get("test_rmse_m"):
-                    return test
+    try:
+        model, extra = simnet.load_checkpoint(ckpt, propagation)
+        # a whole model of other cells or depth loads, but is not this job's
+        if model.geometry.parameters() == geometry.parameters():
+            test = trainer.evaluate(model, dataset, dataset.split.test)
+            if test.rmse == extra.get("test_rmse_m"):
+                return test
+    except (AttributeError, FloatingPointError, KeyError, OSError, TypeError, ValueError):
+        pass
     model = build_model(cfg, geometry, propagation, dataset, seed, point)
     try:
         trainer.calibrate_readout_scale(model, dataset)
@@ -591,10 +602,10 @@ def run_experiment(cfg: ExperimentConfig, out_root) -> Path:
 
     Each depth builds its geometry and coupling once.  The dataset is
     drawn once per run (a draw reads only the first layer, so every
-    depth sees the same one), and so is the matched filter.
+    depth sees the same one), and the matched-filter job runs once.
     ``results.csv``, one row per seed and a mean row per point, is
-    written once every job is done; a rerun into the same directory
-    skips finished jobs.  ``_SWEEP_OUTPUTS`` adds per-kind files and rows.
+    written once every job is done; a rerun skips each job whose last
+    file is written.  ``_SWEEP_OUTPUTS`` adds per-kind files and rows.
     """
     out_dir = _output_dir(cfg, out_root)
     (out_dir / "models").mkdir(exist_ok=True)
@@ -602,7 +613,7 @@ def run_experiment(cfg: ExperimentConfig, out_root) -> Path:
     write_records, ml_rows, plot = _SWEEP_OUTPUTS[sweep]
     geometry = build_geometry(cfg)
     dataset = build_dataset(cfg, geometry)
-    ml_rmse = _matched_filter(cfg, geometry, dataset).rmse if ml_rows else None
+    ml_rmse = _matched_filter(cfg, geometry, dataset, out_dir) if ml_rows else None
     rows, curves = [], {}  # curves: variant -> (point values, mean RMSEs)
     for depth, group in itertools.groupby(sweep_points(cfg), lambda p: p.depth):
         depth_geometry = build_geometry(cfg, num_layers=depth)
@@ -794,13 +805,10 @@ def self_check(seed: int = 0, stream=None) -> bool:
 
 
 def run_ml_baseline(cfg: ExperimentConfig, out_root) -> Path:
-    """Matched-filter evaluation on a fresh dataset's test split."""
+    """The matched-filter job of :func:`run_experiment` on its own."""
     out_dir = _output_dir(cfg, out_root)
     geometry = build_geometry(cfg)
-    result = _matched_filter(cfg, geometry, build_dataset(cfg, geometry))
-    write_records_csv(out_dir / "ml_records.csv", cfg, result.records)
-    summary = [["two-stage", result.rmse]]
-    _write_csv(out_dir / "ml_summary.csv", cfg, ["estimator", "test_rmse_m"], summary)
+    _matched_filter(cfg, geometry, build_dataset(cfg, geometry), out_dir)
     return out_dir
 
 
@@ -859,7 +867,7 @@ def main(argv=None) -> int:
                 out = run_ml_baseline(cfg, args.out)
         print(f"results written to {out}")
         return 0
-    except ConfigError as exc:
+    except (ConfigError, NotADirectoryError, FileExistsError) as exc:  # also --out at a file
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except (

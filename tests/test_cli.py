@@ -480,6 +480,19 @@ class CountingTrain:
         return self.real(*args)
 
 
+class CountingSearch:
+    """``baselines.evaluate_ml`` that counts its calls."""
+
+    real = staticmethod(baselines.evaluate_ml)
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, *args):
+        self.calls += 1
+        return self.real(*args)
+
+
 def tree_bytes(root):
     return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
@@ -501,10 +514,13 @@ class TestResume:
         out = tmp_path / "b" / cfg.hash_id
         assert not (out / "results.csv").exists()
         assert len(list((out / "models").glob("*.json"))) == done
-        train = CountingTrain()
+        assert (out / "ml_summary.csv").exists()  # the matched-filter job runs first
+        train, search = CountingTrain(), CountingSearch()
         monkeypatch.setattr(trainer, "train", train)
+        monkeypatch.setattr(baselines, "evaluate_ml", search)
         cli.run_experiment(cfg, tmp_path / "b")
         assert len(train.seeds) == self.JOBS - done
+        assert search.calls == 0
         assert tree_bytes(out) == reference
 
     def test_changed_checkpoint_is_retrained(self, tmp_path, monkeypatch):
@@ -546,9 +562,16 @@ class TestResume:
             # whole models of another geometry, each of which loads on its own
             lambda text, models: (models / "1-trainable-7.json").read_text(),
             lambda text, models: TestResume.three_by_three(text),
+            # models that load, but whose test pass raises
+            lambda text, models: json.dumps({**json.loads(text), "readout_scale": None}),
+            lambda text, models: json.dumps({**json.loads(text), "readout_scale": 0.0}),
+            # its readout overflows under the run's floating-point errors
+            lambda text, models: json.dumps({**json.loads(text), "readout_scale": 1e300}),
+            lambda text, models: json.dumps({**json.loads(text), "extra": []}),
         ],
         ids=["format", "truncated", "list", "no-layers", "layers-not-a-list", "geometry",
-             "depth", "cell-count"],
+             "depth", "cell-count", "no-readout-scale", "zero-readout-scale", "huge-readout-scale",
+             "extra-not-a-dict"],
     )
     def test_checkpoint_that_does_not_load_is_retrained(self, tmp_path, monkeypatch, damage):
         cfg = cli.load_config(self.CFG)
@@ -564,6 +587,92 @@ class TestResume:
         cfg_path.write_text(self.CFG)
         assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "b")]) == 0
         assert train.seeds == [7]
+        assert tree_bytes(out) == reference
+
+
+def _one_ulp_up(text):
+    lines = text.splitlines(keepends=True)
+    name, rmse = lines[2].split(",")
+    lines[2] = f"{name},{math.nextafter(float(rmse), math.inf)!r}\n"
+    return "".join(lines)
+
+
+def _first_half(text):
+    lines = text.splitlines(keepends=True)
+    return "".join(lines[: 2 + (len(lines) - 2) // 2])
+
+
+class TestMatchedFilterJob:
+    """``run`` and ``ml-baseline`` run one matched-filter job: its records,
+    then its summary, which marks it done.  A rerun keeps a stored result
+    whose estimates rescore to its stored RMSE and searches again otherwise."""
+
+    CFG = TINY.replace("num_samples = 100", "num_samples = 200")
+    VERBS = {"run": cli.run_experiment, "ml-baseline": cli.run_ml_baseline}
+
+    def test_both_verbs_write_the_same_files(self, tmp_path):
+        cfg = cli.load_config(self.CFG)
+        run = cli.run_experiment(cfg, tmp_path / "run")
+        ml = cli.run_ml_baseline(cfg, tmp_path / "ml")
+        for name in ("ml_records.csv", "ml_summary.csv"):
+            assert (run / name).read_bytes() == (ml / name).read_bytes()
+        _, rows = read_rows(run / "results.csv")
+        _, summary = read_rows(ml / "ml_summary.csv")
+        assert [r[4] for r in rows if r[2] == "ml"] == [summary[0][1]]
+
+    @pytest.mark.parametrize(
+        "first, rerun",
+        [("run", "run"), ("ml-baseline", "ml-baseline"), ("run", "ml-baseline"),
+         ("ml-baseline", "run")],
+        ids=["run", "ml-baseline", "ml-baseline-after-run", "run-after-ml-baseline"],
+    )
+    def test_rerun_reads_the_finished_job(self, tmp_path, monkeypatch, first, rerun):
+        cfg = cli.load_config(self.CFG)
+        # a fresh run of the verb that writes every file the two leave behind
+        whole = "run" if "run" in (first, rerun) else "ml-baseline"
+        reference = tree_bytes(self.VERBS[whole](cfg, tmp_path / "a"))
+        self.VERBS[first](cfg, tmp_path / "b")
+        search = CountingSearch()
+        monkeypatch.setattr(baselines, "evaluate_ml", search)
+        out = self.VERBS[rerun](cfg, tmp_path / "b")
+        assert search.calls == 0
+        assert tree_bytes(out) == reference
+
+    @pytest.mark.parametrize(
+        "name, damage",
+        [
+            ("ml_summary.csv", lambda text, other: "garbage\n"),
+            ("ml_summary.csv", lambda text, other: _one_ulp_up(text)),
+            ("ml_records.csv", lambda text, other: _first_half(text)),
+            ("ml_records.csv", lambda text, other: (other / "ml_records.csv").read_text()),
+        ],
+        ids=["garbage-summary", "summary-one-ulp", "half-records", "other-seed-records"],
+    )
+    def test_damaged_result_is_searched_again(self, tmp_path, monkeypatch, name, damage):
+        cfg = cli.load_config(self.CFG)
+        reference = tree_bytes(cli.run_experiment(cfg, tmp_path / "a"))
+        out = cli.run_experiment(cfg, tmp_path / "b")
+        other = cli.run_ml_baseline(cli.load_config(self.CFG, {"experiment.seed": 43}), tmp_path / "c")
+        text = (out / name).read_text()
+        (out / name).write_text(damage(text, other))
+        assert (out / name).read_text() != text
+        search = CountingSearch()
+        monkeypatch.setattr(baselines, "evaluate_ml", search)
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(self.CFG)
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "b")]) == 0
+        assert search.calls == 1
+        assert tree_bytes(out) == reference
+
+    def test_missing_records_are_searched_again(self, tmp_path, monkeypatch):
+        cfg = cli.load_config(self.CFG)
+        out = cli.run_ml_baseline(cfg, tmp_path)
+        reference = tree_bytes(out)
+        (out / "ml_records.csv").unlink()
+        search = CountingSearch()
+        monkeypatch.setattr(baselines, "evaluate_ml", search)
+        cli.run_ml_baseline(cfg, tmp_path)
+        assert search.calls == 1
         assert tree_bytes(out) == reference
 
 
@@ -678,6 +787,17 @@ class TestExitCodes:
     def test_help_exits_0(self, capsys):
         assert cli.main(["run", "--help"]) == 0
         assert "--preset" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("verb", ["run", "curves", "ml-baseline"])
+    def test_out_is_a_file_exits_1(self, tmp_path, capsys, verb):
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(TINY)
+        out = tmp_path / "out"
+        out.write_text("a file, not a directory\n")
+        assert cli.main([verb, "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_bad_number_exits_1_without_traceback(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.ini"
